@@ -947,16 +947,11 @@ impl FigureArgs {
 }
 
 // ---------------------------------------------------------------------------
-// netperf: the figure vocabulary plus the sink-saturation mode.
+// netperf: the figure vocabulary plus timing and profiling options.
 // ---------------------------------------------------------------------------
 
 /// The `netperf` binary's command line: the figure vocabulary
-/// (`[seed] [--quick]`) plus `--saturate`, which switches the binary to the
-/// record-sink saturation benchmark (mutex baseline vs the lock-free
-/// collector, hammered from N threads).  `--threads` caps the sweep's top
-/// thread count and is only meaningful there.
-///
-/// The scenario sweep additionally takes `--repeats N` (rten-bench-style
+/// (`[seed] [--quick]`) plus `--repeats N` (rten-bench-style
 /// min/mean/median/max/var timing statistics per scenario), `--profile`
 /// (per-subsystem time-breakdown tables and the `time_breakdown` JSON
 /// section), `--trace-out FILE` (Chrome trace-event export of the first
@@ -969,10 +964,6 @@ pub struct NetperfArgs {
     pub seed: u64,
     /// Reduced smoke scenario.
     pub quick: bool,
-    /// Run the sink-saturation benchmark instead of the scenario sweep.
-    pub saturate: bool,
-    /// Top thread count of the saturation sweep (defaults per mode).
-    pub threads: Option<usize>,
     /// Enable the time-breakdown profiler over the scenario sweep.
     pub profile: bool,
     /// Timed repeats per scenario (defaults to 1; the simulation output is
@@ -995,8 +986,6 @@ impl NetperfArgs {
             args,
             &[
                 flag("--quick"),
-                flag("--saturate"),
-                option("--threads"),
                 flag("--profile"),
                 option("--repeats"),
                 option("--trace-out"),
@@ -1015,23 +1004,6 @@ impl NetperfArgs {
         if let Some(extra) = positionals.next() {
             return Err(CliError::UnexpectedPositional(extra.clone()));
         }
-        let saturate = parsed.has("--saturate");
-        let threads = parsed.parsed::<usize>("--threads", "a positive thread count")?;
-        if let Some(n) = threads {
-            if n == 0 {
-                return Err(CliError::InvalidValue {
-                    flag: "--threads",
-                    value: "0".into(),
-                    expected: "a positive thread count",
-                });
-            }
-            if !saturate {
-                return Err(CliError::Requires {
-                    flag: "--threads",
-                    requires: "--saturate",
-                });
-            }
-        }
         let profile = parsed.has("--profile");
         let repeats = parsed.parsed::<usize>("--repeats", "an integer >= 1")?;
         if repeats == Some(0) {
@@ -1040,23 +1012,6 @@ impl NetperfArgs {
                 value: "0".into(),
                 expected: "an integer >= 1",
             });
-        }
-        // The profiling vocabulary belongs to the scenario sweep; under
-        // --saturate each of these would be silently ignored.
-        if saturate {
-            for (name, present) in [
-                ("--profile", profile),
-                ("--repeats", repeats.is_some()),
-                ("--trace-out", parsed.has("--trace-out")),
-                ("--check-budget", parsed.has("--check-budget")),
-            ] {
-                if present {
-                    return Err(CliError::NotInMode {
-                        flag: name,
-                        mode: "saturate",
-                    });
-                }
-            }
         }
         for dependent in ["--trace-out", "--check-budget"] {
             if parsed.has(dependent) && !profile {
@@ -1069,8 +1024,6 @@ impl NetperfArgs {
         Ok(NetperfArgs {
             seed,
             quick: parsed.has("--quick"),
-            saturate,
-            threads,
             profile,
             repeats,
             trace_out: parsed.value("--trace-out").map(str::to_string),
@@ -1084,8 +1037,7 @@ impl NetperfArgs {
         Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!(
                 "error: {e}\nusage: {binary} [seed] [--quick] [--repeats N] \
-                 [--profile [--trace-out FILE] [--check-budget FILE]] \
-                 [--saturate [--threads N]]"
+                 [--profile [--trace-out FILE] [--check-budget FILE]]"
             );
             std::process::exit(2);
         })
@@ -1589,34 +1541,16 @@ mod tests {
     }
 
     #[test]
-    fn netperf_args_parse_saturate_and_threads() {
-        let na =
-            NetperfArgs::from_args(args(&["--quick", "--saturate", "--threads", "16"])).unwrap();
-        assert!(na.quick && na.saturate);
-        assert_eq!(na.threads, Some(16));
+    fn netperf_args_parse_seed_and_quick() {
+        let na = NetperfArgs::from_args(args(&["--quick"])).unwrap();
+        assert!(na.quick && !na.profile);
         assert_eq!(na.seed, crate::DEFAULT_SEED);
-        // The plain figure form still parses.
         let na = NetperfArgs::from_args(args(&["777"])).unwrap();
-        assert_eq!((na.seed, na.saturate, na.threads), (777, false, None));
-        // --threads only means something under --saturate.
-        assert_eq!(
-            NetperfArgs::from_args(args(&["--threads", "4"])),
-            Err(CliError::Requires {
-                flag: "--threads",
-                requires: "--saturate"
-            })
-        );
-        assert!(matches!(
-            NetperfArgs::from_args(args(&["--saturate", "--threads", "0"])),
-            Err(CliError::InvalidValue {
-                flag: "--threads",
-                ..
-            })
-        ));
+        assert_eq!((na.seed, na.quick, na.repeats), (777, false, None));
         // Misspellings stay typed errors.
         assert_eq!(
-            NetperfArgs::from_args(args(&["--saturat"])),
-            Err(CliError::UnknownFlag("--saturat".to_string()))
+            NetperfArgs::from_args(args(&["--quik"])),
+            Err(CliError::UnknownFlag("--quik".to_string()))
         );
     }
 
@@ -1663,22 +1597,5 @@ mod tests {
                 requires: "--profile"
             })
         );
-        // The whole profiling vocabulary is a scenario-sweep affair.
-        for extra in [
-            vec!["--profile"],
-            vec!["--repeats", "2"],
-            vec!["--profile", "--trace-out", "/tmp/t.json"],
-            vec!["--profile", "--check-budget", "b.json"],
-        ] {
-            let mut argv = vec!["--saturate"];
-            argv.extend(extra);
-            assert!(matches!(
-                NetperfArgs::from_args(args(&argv)),
-                Err(CliError::NotInMode {
-                    mode: "saturate",
-                    ..
-                })
-            ));
-        }
     }
 }

@@ -19,8 +19,7 @@
 //!   bit-identical to a clean run — only wall clocks are read.
 //! * **Commutative shards.** `Profile` implements [`Commute`] with exact
 //!   integer addition: per-run, per-thread and per-worker shards fold in
-//!   any order or tree into the same totals, exactly like
-//!   `ConcurrentStats`.  The process-wide [`SharedProfile`] behind
+//!   any order or tree into the same totals.  The process-wide [`SharedProfile`] behind
 //!   [`global`] accumulates finished shards through relaxed atomic adds
 //!   (each field independently commutative, so no cross-field race can
 //!   corrupt a count).
@@ -32,8 +31,8 @@
 //! layer into the `time_breakdown` section of `BENCH_netperf.json`.
 //!
 //! For single runs, [`start_trace`] additionally records every [`Span`]
-//! (event-kind dispatch runs, election/formation, snapshots, collector
-//! batches — the coarse spans, not the per-event subsystem slices) into a
+//! (event-kind dispatch runs, election/formation, snapshots, record sink
+//! writes — the coarse spans, not the per-event subsystem slices) into a
 //! bounded buffer exported as Chrome trace-event JSON
 //! (`chrome://tracing` / Perfetto) by [`stop_trace_json`].
 //!
@@ -75,7 +74,8 @@ pub enum ProfKey {
     Phy,
     /// Metric snapshot trackers (energy + fairness sampling).
     StatsSnapshot,
-    /// Record queue/collector path (sink batches, report aggregation).
+    /// Record path outside the event loop (store sink writes, shard store
+    /// reads, report aggregation).
     Collector,
     /// `RoundStart` dispatch runs.
     EvRoundStart,
@@ -366,7 +366,7 @@ impl Span {
     }
 
     /// Close the span straight into the process-wide [`global`] profile —
-    /// for sites without a local shard (collector drainer, deployment).
+    /// for sites without a local shard (record sink writes, deployment).
     #[inline]
     pub fn stop_global(self, key: ProfKey, count: u64) {
         if let Some(t0) = self.start {
@@ -383,8 +383,7 @@ impl Span {
 
 /// A `Profile` whose slots are relaxed atomics: finished shards and
 /// cross-thread sites fold into it concurrently.  Each slot is an
-/// independent commutative sum, so concurrent adds cannot corrupt it
-/// (the `ConcurrentStats` argument, without the float shifting).
+/// independent commutative sum, so concurrent adds cannot corrupt it.
 pub struct SharedProfile {
     counts: [AtomicU64; ProfKey::COUNT],
     nanos: [AtomicU64; ProfKey::COUNT],
@@ -445,7 +444,7 @@ impl Default for SharedProfile {
 static GLOBAL: SharedProfile = SharedProfile::new();
 
 /// The process-wide profile: every finished run's shard folds in here,
-/// plus the cross-thread sites (collector drainer, deployment).
+/// plus the cross-thread sites (record sink writes, deployment).
 pub fn global() -> &'static SharedProfile {
     &GLOBAL
 }

@@ -243,7 +243,7 @@ pub struct ManifestJob {
     pub policy: PolicyKind,
     /// Master seed of the replicate.
     pub seed: u64,
-    /// [`config_hash`] of `config` — the validity criterion merged records
+    /// [`config_hash`] of `config` — the validity check merged records
     /// are checked against.
     pub config_hash: u64,
     /// The fully resolved configuration.
@@ -582,7 +582,7 @@ fn release_lease(layout: &ShardLayout, shard: usize) -> Result<(), DistribError>
 static SHUTDOWN: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Ask every worker loop in this process to wind down: finish (or skip)
-/// the job at hand, flush collector buffers, release unfinished leases and
+/// the job at hand, release unfinished leases and
 /// return cleanly.  A released shard is immediately claimable by any other
 /// worker — no TTL expiry is involved.
 pub fn request_shutdown() {
@@ -669,8 +669,7 @@ pub struct WorkerOutcome {
 /// and what [`ThreadSpawner`] runs in-process.
 ///
 /// **Graceful shutdown**: once [`request_shutdown`] has been called, the
-/// loop skips jobs it has not started, flushes the store's collector
-/// buffers, **releases** the lease of any unfinished shard (so another
+/// loop skips jobs it has not started, **releases** the lease of any unfinished shard (so another
 /// worker re-claims it instantly, without waiting out the TTL) and returns
 /// cleanly with whatever it completed.
 pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerOutcome, DistribError> {
@@ -730,8 +729,8 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerOutcome, DistribError> {
             break;
         }
     }
-    // Dropping the store flushes the collector; nothing held back.  Any
-    // shard this worker completed keeps its done marker; anything else has
+    // Every record was written before its sink returned; nothing is held
+    // back.  Any shard this worker completed keeps its done marker; anything else has
     // no lease left to expire.
     Ok(outcome)
 }
@@ -773,8 +772,8 @@ fn run_shard(
     }
     // The worker's single parallel layer, drawing from the process budget
     // the coordinator allotted via RAYON_TOTAL_THREADS.  Fresh results
-    // stream through the lock-free collector; IO errors surface when the
-    // collector drains.  A job not yet started when shutdown is requested
+    // stream through the store's shared sink; IO errors surface when the
+    // fan-out ends.  A job not yet started when shutdown is requested
     // is skipped (`None`), never half-run.
     let settled: Vec<Option<Result<JobRecord, JobFailure>>> = store.with_parallel_sink(|sink| {
         pending
@@ -1574,6 +1573,44 @@ mod tests {
             "an expired lease is stolen"
         );
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lease_without_start_time_decodes_and_its_dead_owner_is_stale() {
+        // Leases written before the start-time identity existed carry only
+        // the owner label and pid.
+        let text = "{\"worker\":\"doomed_000\",\"pid\":4294967294}";
+        let legacy: ShardLease = serde_json::from_str(text).expect("legacy lease decodes");
+        assert_eq!(legacy.worker, "doomed_000");
+        assert_eq!(legacy.pid, 4_294_967_294);
+        assert_eq!(legacy.pid_start, None);
+        if cfg!(target_os = "linux") {
+            assert!(owner_verifiably_dead(&legacy), "no such pid");
+            let dir = temp_grid("legacy_lease");
+            let layout = ShardLayout::new(&dir);
+            layout.create_dirs().unwrap();
+            fs::write(layout.lease_path(0), text).unwrap();
+            let long_ttl = StdDuration::from_secs(3600);
+            assert!(
+                lease_is_stale(&layout.lease_path(0), Some(&legacy), long_ttl),
+                "a freshly written lease of a dead owner is stale without the TTL"
+            );
+            assert_eq!(
+                try_claim_shard(&layout, 0, &ShardLease::current("heir"), long_ttl).unwrap(),
+                ClaimOutcome::Claimed
+            );
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn lease_missing_a_required_field_is_an_error() {
+        let err = serde_json::from_str::<ShardLease>("{\"worker\":\"w\",\"pid_start\":7}")
+            .expect_err("pid is not optional");
+        assert!(
+            err.to_string().contains("missing field `pid`"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

@@ -215,9 +215,8 @@ impl ExperimentSpec {
         let pending: Vec<usize> = (0..jobs.len()).filter(|&i| records[i].is_none()).collect();
         if !pending.is_empty() {
             // The single parallel layer over the *missing* jobs only: each
-            // worker encodes its own record and ships it through the
-            // lock-free collector, so no job ever waits on another job's
-            // disk write.  IO errors surface when the collector drains.
+            // worker encodes its own record and writes it through the
+            // store's shared sink.  IO errors surface when the fan-out ends.
             let fresh: Vec<(usize, JobRecord)> = store
                 .with_parallel_sink(|sink| {
                     pending

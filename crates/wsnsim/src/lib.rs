@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod collect;
 pub mod config;
 pub mod distrib;
 pub mod events;
@@ -69,7 +68,6 @@ pub mod spec;
 pub mod sweep;
 pub mod table;
 
-pub use collect::CollectorSink;
 pub use config::{
     ChurnConfig, ConfigError, ScenarioConfig, Topology, TrafficModel, TrafficProfile,
 };
@@ -87,7 +85,7 @@ pub use faults::{
     RunEvent,
 };
 pub use persist::{
-    config_hash, ExperimentStore, JobFailure, JobRecord, MutexSink, StoreError, StoreOptions,
+    config_hash, ExperimentStore, JobFailure, JobRecord, RecordSink, StoreError, StoreOptions,
 };
 pub use result::{NodeSummary, SimulationResult};
 pub use runner::SimulationRun;

@@ -29,12 +29,11 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use caem::policy::PolicyKind;
 use serde::{Deserialize, Serialize};
 
-use crate::collect::CollectorSink;
 use crate::config::ScenarioConfig;
 use crate::experiment::{replicate_metrics, ExperimentJob, METRIC_NAMES};
 use crate::faults::{self, retry_transient, RetryPolicy, RunEvent, StoreIo};
@@ -59,7 +58,7 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Deterministic hash of a fully resolved scenario configuration (the JSON
 /// serialization hashed with FNV-1a).  Two configs hash equal iff every
 /// field — node count, topology, churn, policy, seed, … — matches, which is
-/// exactly the "this persisted result is still valid" criterion.
+/// exactly the "this persisted result is still valid" test.
 ///
 /// The hash is derived from the **canonical resolved spec**: the same
 /// fully resolved configs a declarative [`crate::spec::GridSpec`] resolves
@@ -520,60 +519,36 @@ impl ExperimentStore {
         Ok(())
     }
 
-    /// Run a parallel fan-out with a **lock-free** record sink: `f` gets a
-    /// [`CollectorSink`] that workers share by reference, while a dedicated
-    /// drainer thread owns the store file and writes coalesced line batches
-    /// through the usual IO seam (see [`crate::collect`] for the
-    /// architecture and crash-semantics argument).  Records written through
-    /// the sink are **not** indexed in memory; the caller indexes them
-    /// afterwards with [`ExperimentStore::note_record`].
+    /// Run a parallel fan-out with a shared record sink: `f` gets a
+    /// [`RecordSink`] that workers use by reference.  Each worker encodes
+    /// its own line, then writes it under the sink's lock through the usual
+    /// IO seam.  Records written through the sink are **not** indexed in
+    /// memory; the caller indexes them afterwards with
+    /// [`ExperimentStore::note_record`].
     ///
-    /// Returns `f`'s result, or the first IO error the drainer hit (every
-    /// append after a fatal error is dropped — the grid re-runs those jobs
-    /// on resume, exactly like a crash at that point).
+    /// Returns `f`'s result, or the first fatal IO error an append hit
+    /// (every append after it is dropped — the grid re-runs those jobs on
+    /// resume, exactly like a crash at that point).  A panic in `f`
+    /// propagates; lines written before it stay on disk and the store
+    /// remains appendable.
     pub fn with_parallel_sink<R>(
         &mut self,
-        f: impl FnOnce(&CollectorSink) -> R,
+        f: impl FnOnce(&RecordSink) -> R,
     ) -> Result<R, StoreError> {
-        self.with_buffered_sink(0, f)
-    }
-
-    /// [`ExperimentStore::with_parallel_sink`] with an explicit worker-side
-    /// buffer threshold: each worker thread batches encoded lines locally
-    /// until they exceed `flush_bytes`, trading a larger crash-loss window
-    /// for fewer channel operations.  The engine uses 0 (ship every record
-    /// immediately); the saturation benchmark exercises both settings.
-    pub fn with_buffered_sink<R>(
-        &mut self,
-        flush_bytes: usize,
-        f: impl FnOnce(&CollectorSink) -> R,
-    ) -> Result<R, StoreError> {
-        let io = Arc::clone(&self.io);
-        let retry = self.retry.clone();
-        let fsync = self.fsync;
-        let file = self
-            .writer
-            .as_mut()
-            .expect("streaming into a store opened read-only");
-        crate::collect::run_collector(io, retry, fsync, flush_bytes, file, f)
-    }
-
-    /// The pre-collector sink: a thread-shareable handle that serializes
-    /// every append through one `Mutex<&mut File>`.  Retained as the
-    /// contended **baseline** the saturation benchmark and the equivalence
-    /// tests compare the lock-free path against; the engine itself streams
-    /// through [`ExperimentStore::with_parallel_sink`].
-    pub fn mutex_sink(&mut self) -> MutexSink<'_> {
-        MutexSink {
-            io: Arc::clone(&self.io),
+        let sink = RecordSink {
+            io: &*self.io,
+            retry: &self.retry,
             fsync: self.fsync,
-            retry: self.retry.clone(),
-            file: Mutex::new(
-                self.writer
-                    .as_mut()
-                    .expect("streaming into a store opened read-only"),
-            ),
-        }
+            file: Mutex::new(Ok(self
+                .writer
+                .as_mut()
+                .expect("streaming into a store opened read-only"))),
+        };
+        let value = f(&sink);
+        sink.file
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)?;
+        Ok(value)
     }
 
     /// Index a record that was already streamed to disk through a sink.
@@ -767,32 +742,43 @@ pub(crate) fn append_line_with_recovery(
     Ok(())
 }
 
-/// The mutex-serialized append handle: every record is encoded by its
-/// worker, then written under one lock.  Superseded by the lock-free
-/// [`CollectorSink`] on the engine's hot path and kept as the contended
-/// baseline for [`ExperimentStore::mutex_sink`] callers (the saturation
-/// benchmark, the sink-equivalence tests).
-pub struct MutexSink<'a> {
-    io: Arc<dyn StoreIo>,
+/// The store's thread-shareable append handle, lent out by
+/// [`ExperimentStore::with_parallel_sink`]: every record is encoded by its
+/// worker, then written under one lock.  The first fatal error replaces the
+/// file handle in the lock, so every later append is a no-op and the error
+/// is reported once when the fan-out ends.
+pub struct RecordSink<'a> {
+    io: &'a dyn StoreIo,
+    retry: &'a RetryPolicy,
     fsync: bool,
-    retry: RetryPolicy,
-    file: Mutex<&'a mut File>,
+    file: Mutex<Result<&'a mut File, StoreError>>,
 }
 
-impl MutexSink<'_> {
+impl RecordSink<'_> {
     /// Stream one record to disk (one line per `write_all`, under the
     /// lock), with transient-failure retry and torn-write recovery.
-    pub fn append(&self, record: &JobRecord) -> Result<(), StoreError> {
-        let line = encode_line(record)?;
-        let mut file = self.file.lock().expect("record sink lock poisoned");
-        append_line_with_recovery(&*self.io, &self.retry, &mut file, &line, self.fsync)
+    pub fn append(&self, record: &JobRecord) {
+        self.write_line(&encode_line(record).expect("job records always serialize"));
     }
 
     /// Stream one quarantine record to disk, same discipline as `append`.
-    pub fn append_failure(&self, failure: &JobFailure) -> Result<(), StoreError> {
-        let line = encode_failure_line(failure)?;
-        let mut file = self.file.lock().expect("record sink lock poisoned");
-        append_line_with_recovery(&*self.io, &self.retry, &mut file, &line, self.fsync)
+    pub fn append_failure(&self, failure: &JobFailure) {
+        self.write_line(&encode_failure_line(failure).expect("job failures always serialize"));
+    }
+
+    fn write_line(&self, line: &[u8]) {
+        let mut slot = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        let Ok(file) = &mut *slot else {
+            return;
+        };
+        // Worker threads have no local profile shard here, so the write
+        // goes straight into the process-wide profile.
+        let span = caem_metrics::prof::Span::start();
+        let written = append_line_with_recovery(self.io, self.retry, file, line, self.fsync);
+        span.stop_global(caem_metrics::prof::ProfKey::Collector, 1);
+        if let Err(error) = written {
+            *slot = Err(error);
+        }
     }
 }
 
@@ -949,6 +935,121 @@ mod tests {
         let store = ExperimentStore::open(&path).unwrap();
         assert!(store.is_empty());
         assert!(path.exists(), "open creates the file (with its header)");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn record_sink_round_trips_records_from_many_threads() {
+        let path = temp_path("sink_threads");
+        std::fs::remove_file(&path).ok();
+        let threads = 8u64;
+        let per_thread = 50u64;
+        {
+            let mut store = ExperimentStore::open(&path).unwrap();
+            store
+                .with_parallel_sink(|sink| {
+                    std::thread::scope(|scope| {
+                        for t in 0..threads {
+                            scope.spawn(move || {
+                                for i in 0..per_thread {
+                                    sink.append(&tiny_record(t * per_thread + i));
+                                    if i % 3 == 0 {
+                                        std::thread::yield_now();
+                                    }
+                                }
+                            });
+                        }
+                    });
+                })
+                .unwrap();
+        }
+        let store = ExperimentStore::load(&path).unwrap();
+        assert_eq!(store.skipped_lines(), 0);
+        let mut records = store.records().to_vec();
+        records.sort_by_key(JobRecord::key);
+        let expected: Vec<JobRecord> = (0..threads * per_thread).map(tiny_record).collect();
+        assert_eq!(records, expected, "every record lands exactly once");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn record_sink_survives_a_panicking_closure() {
+        let path = temp_path("sink_panic");
+        std::fs::remove_file(&path).ok();
+        {
+            let mut store = ExperimentStore::open(&path).unwrap();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = store.with_parallel_sink(|sink| {
+                    sink.append(&tiny_record(7));
+                    panic!("fan-out blew up");
+                });
+            }));
+            assert!(unwound.is_err(), "the panic must propagate");
+            // The store handle stays appendable after the unwind.
+            store.append(tiny_record(8)).unwrap();
+        }
+        let store = ExperimentStore::load(&path).unwrap();
+        assert_eq!(store.len(), 2, "pre-panic and post-panic records persist");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Passes appends through to the file, except the `fail_on`-th call
+    /// (1-based), which fails with a fatal (non-retryable) error.
+    struct FailNthAppend {
+        calls: std::sync::atomic::AtomicUsize,
+        fail_on: usize,
+    }
+
+    impl StoreIo for FailNthAppend {
+        fn append_line(&self, file: &mut File, line: &[u8], _attempt: u32) -> std::io::Result<()> {
+            let call = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
+            if call == self.fail_on {
+                return Err(std::io::ErrorKind::PermissionDenied.into());
+            }
+            file.write_all(line)
+        }
+
+        fn sync(&self, _file: &File) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn record_sink_latches_the_first_fatal_error() {
+        let path = temp_path("sink_fatal");
+        std::fs::remove_file(&path).ok();
+        let io = Arc::new(FailNthAppend {
+            calls: std::sync::atomic::AtomicUsize::new(0),
+            fail_on: 3,
+        });
+        {
+            let mut store = ExperimentStore::open(&path).unwrap();
+            store.io = io.clone();
+            let outcome = store.with_parallel_sink(|sink| {
+                for seed in 0..5 {
+                    sink.append(&tiny_record(seed));
+                }
+            });
+            assert!(
+                matches!(outcome, Err(StoreError::Io(ref e)) if e.kind() == std::io::ErrorKind::PermissionDenied),
+                "the fatal error surfaces from the fan-out"
+            );
+            assert_eq!(
+                io.calls.load(std::sync::atomic::Ordering::SeqCst),
+                3,
+                "appends after the fatal error never reach the file"
+            );
+            // The latch lives and dies with one fan-out: the next one
+            // starts clean and reports no stale error.
+            store
+                .with_parallel_sink(|sink| sink.append(&tiny_record(10)))
+                .unwrap();
+        }
+        let store = ExperimentStore::load(&path).unwrap();
+        assert_eq!(store.skipped_lines(), 0);
+        let mut seeds: Vec<u64> = store.records().iter().map(|r| r.seed).collect();
+        seeds.sort_unstable();
+        assert_eq!(seeds, vec![0, 1, 10], "only lines written before the error");
         std::fs::remove_file(&path).ok();
     }
 

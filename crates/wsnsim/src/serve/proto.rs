@@ -218,8 +218,8 @@ pub enum Message {
         /// Suggested delay before the next claim, in milliseconds.
         retry_ms: u64,
     },
-    /// A batch of completed-job JSONL lines (the collector's coalesced
-    /// ≤ 64 KiB batches, shipped over the wire instead of a file).
+    /// A batch of completed-job JSONL lines (the same lines a file worker
+    /// appends to its store, coalesced into ≤ 64 KiB frames).
     /// Fire-and-forget: losses are reconciled by the [`Message::ShardDone`]
     /// line count.
     Records {

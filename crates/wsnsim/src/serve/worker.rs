@@ -5,9 +5,9 @@
 //! shard's jobs inline with the grant, runs them through the same
 //! [`run_job_guarded`] retry/quarantine path as a file worker, and streams
 //! the resulting store lines back in [`Message::Records`] batches coalesced
-//! to the collector's gather threshold.  While the shard's rayon fan-out is
-//! running, the connection thread keeps the lease alive with
-//! [`Message::Heartbeat`] frames.  Shard completion is reconciled by count:
+//! up to 64 KiB.  While the shard's rayon fan-out is running, the
+//! connection thread keeps the lease alive with [`Message::Heartbeat`]
+//! frames.  Shard completion is reconciled by count:
 //! if the daemon decoded fewer lines than the worker sent (frames lost to
 //! faults), the worker resends every retained line and asks again.
 //!
@@ -31,9 +31,10 @@ use crate::persist::{encode_failure_line, encode_line, JobFailure, JobRecord};
 use super::proto::{Message, ProtoError, PROTOCOL_VERSION};
 use super::transport::{request, FrameLink};
 
-/// Batch threshold for streamed record lines — the collector's gather
-/// threshold, applied to wire frames instead of file writes.
-const GATHER_BYTES: usize = crate::collect::GATHER_BYTES;
+/// Coalesce streamed record lines into frames of at most this many bytes:
+/// large enough to amortize per-frame overhead, small enough that a lost
+/// frame costs little to resend.
+const GATHER_BYTES: usize = 64 * 1024;
 
 /// Cap on ShardDone→DoneNack resend rounds before giving up on a link.
 const MAX_DONE_ROUNDS: usize = 10;

@@ -11,13 +11,13 @@
 //! the `--worker-shard` binary mode exercised by the CI smoke job.
 
 use std::path::PathBuf;
-use std::time::Duration as StdDuration;
+use std::time::{Duration as StdDuration, Instant};
 
 use caem_suite::caem::policy::PolicyKind;
 use caem_suite::simcore::time::Duration;
 use caem_suite::wsnsim::distrib::{
     collect_grid_records, merge_grid_report, run_sequential_distributed, run_worker, DistribError,
-    DistribOptions, GridManifest, ShardLayout, ThreadSpawner, WorkerConfig,
+    DistribOptions, GridManifest, ShardLayout, ThreadSpawner, WorkerConfig, DEFAULT_LEASE_TTL,
 };
 use caem_suite::wsnsim::experiment::{
     ExperimentReport, ExperimentSpec, ScenarioSpec, SequentialStopping,
@@ -135,10 +135,18 @@ fn killed_workers_and_coordinator_restart_still_reproduce_the_report() {
 
     // Phase 2 — the coordinator restarts on the same directory (resume
     // semantics: fresh = false).  It must steal the dead lease, finish the
-    // remaining shards and merge to the single-process report.
+    // remaining shards and merge to the single-process report.  The steal
+    // must come from the dead-owner check: waiting out the lease TTL would
+    // also finish the grid, but only after a full TTL.
+    let restarted = Instant::now();
     let report = spec
         .run_distributed(&dir, &opts(2), &ThreadSpawner::default())
         .expect("restarted run succeeds");
+    assert!(
+        restarted.elapsed() < DEFAULT_LEASE_TTL / 4,
+        "the dead lease was only released by its TTL ({:?})",
+        restarted.elapsed()
+    );
     assert_eq!(report, single_process);
     assert_eq!(report_bits(&report), report_bits(&single_process));
     assert!(layout.all_done(manifest.shard_count));
