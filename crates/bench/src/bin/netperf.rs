@@ -13,11 +13,13 @@
 //!    scaling sweep (1k → 1M nodes at constant deployment density) rides
 //!    along to track how throughput and resident memory scale with network
 //!    size.  Results are written to `BENCH_netperf.json` at the repository
-//!    root; each run rewrites the file with only what it measured.
+//!    root (or to `--out FILE`); each run rewrites the file with only what
+//!    it measured.
 //!
 //! ```bash
 //! cargo run -p caem-bench --release --bin netperf
 //! cargo run -p caem-bench --release --bin netperf -- --quick   # smoke variant
+//! cargo run -p caem-bench --release --bin netperf -- --quick --out np.json
 //! ```
 
 use std::time::Instant;
@@ -325,7 +327,12 @@ fn main() {
             entries.push(("time_breakdown".into(), time_breakdown_json(&breakdown)));
         }
     }
-    write_json(bench_json_path(quick), &report);
+    write_json(
+        args.out
+            .as_deref()
+            .unwrap_or_else(|| bench_json_path(quick)),
+        &report,
+    );
 
     // The CI regression gate: fail loudly when any subsystem's mean share
     // regressed past its committed budget plus noise band.
@@ -367,7 +374,7 @@ fn write_trace(path: &str, scenario: &str) {
 }
 
 /// The committed perf-trajectory file (full runs) or its gitignored quick
-/// sibling, at the repository root.
+/// sibling, at the repository root: where results go without `--out`.
 fn bench_json_path(quick: bool) -> &'static str {
     if quick {
         concat!(

@@ -957,7 +957,8 @@ impl FigureArgs {
 /// section), `--trace-out FILE` (Chrome trace-event export of the first
 /// repeat of the first scenario; requires `--profile`) and
 /// `--check-budget FILE` (the CI regression gate against a committed
-/// per-subsystem budget baseline; requires `--profile`).
+/// per-subsystem budget baseline; requires `--profile`) and `--out FILE`
+/// (where the results JSON goes instead of the repository root).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetperfArgs {
     /// The seed (defaults to [`crate::DEFAULT_SEED`]).
@@ -974,6 +975,9 @@ pub struct NetperfArgs {
     /// Fail (exit 1) when a subsystem's mean share regresses past the noise
     /// band of this budget file (needs `--profile`).
     pub check_budget: Option<String>,
+    /// Write the results JSON here instead of the default
+    /// `BENCH_netperf[_quick].json` at the repository root.
+    pub out: Option<String>,
 }
 
 impl NetperfArgs {
@@ -990,6 +994,7 @@ impl NetperfArgs {
                 option("--repeats"),
                 option("--trace-out"),
                 option("--check-budget"),
+                option("--out"),
             ],
         )?;
         let mut positionals = parsed.positionals.iter();
@@ -1028,6 +1033,7 @@ impl NetperfArgs {
             repeats,
             trace_out: parsed.value("--trace-out").map(str::to_string),
             check_budget: parsed.value("--check-budget").map(str::to_string),
+            out: parsed.value("--out").map(str::to_string),
         })
     }
 
@@ -1037,7 +1043,7 @@ impl NetperfArgs {
         Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!(
                 "error: {e}\nusage: {binary} [seed] [--quick] [--repeats N] \
-                 [--profile [--trace-out FILE] [--check-budget FILE]]"
+                 [--out FILE] [--profile [--trace-out FILE] [--check-budget FILE]]"
             );
             std::process::exit(2);
         })
@@ -1555,6 +1561,17 @@ mod tests {
     }
 
     #[test]
+    fn netperf_args_parse_out_path() {
+        let na = NetperfArgs::from_args(args(&["--quick", "--out", "runs/np.json"])).unwrap();
+        assert_eq!(na.out.as_deref(), Some("runs/np.json"));
+        assert!(na.quick && !na.profile, "--out needs no other flag");
+        let na = NetperfArgs::from_args(args(&["--out=np.json", "5"])).unwrap();
+        assert_eq!((na.seed, na.out.as_deref()), (5, Some("np.json")));
+        assert_eq!(NetperfArgs::from_args(args(&[])).unwrap().out, None);
+        assert!(NetperfArgs::from_args(args(&["--out"])).is_err());
+    }
+
+    #[test]
     fn netperf_args_parse_profile_vocabulary() {
         let na = NetperfArgs::from_args(args(&[
             "--quick",
@@ -1582,6 +1599,7 @@ mod tests {
                 ..
             })
         ));
+        assert_eq!(na.out, None, "results go to the default path");
         // Trace export and the budget gate are meaningless without profiling.
         assert_eq!(
             NetperfArgs::from_args(args(&["--trace-out", "/tmp/t.json"])),

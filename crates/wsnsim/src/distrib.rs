@@ -61,7 +61,7 @@ use crate::experiment::{
 };
 use crate::faults::{self, retry_transient, RetryPolicy, RunEvent};
 use crate::persist::{
-    config_hash, fnv1a64, ExperimentStore, JobFailure, JobKey, JobRecord, StoreError, StoreOptions,
+    fnv1a64, ExperimentStore, Fnv1a, JobFailure, JobKey, JobRecord, StoreError, StoreOptions,
 };
 use crate::runner::SimulationRun;
 
@@ -243,8 +243,8 @@ pub struct ManifestJob {
     pub policy: PolicyKind,
     /// Master seed of the replicate.
     pub seed: u64,
-    /// [`config_hash`] of `config` — the validity check merged records
-    /// are checked against.
+    /// [`config_hash`](crate::persist::config_hash) of `config` — the
+    /// validity check merged records are checked against.
     pub config_hash: u64,
     /// The fully resolved configuration.
     pub config: ScenarioConfig,
@@ -267,6 +267,32 @@ impl ManifestJob {
         };
         let result = SimulationRun::new(job.config.clone()).run();
         JobRecord::from_result(&self.scenario, self.policy_index, &job, &result)
+    }
+
+    /// Fold this job's JSON — the exact bytes `serde_json::to_string(self)`
+    /// emits — into `hash`, with `config_json`, the job's already
+    /// serialized config, spliced in unchanged.  Field order follows the
+    /// struct declaration, as the derive emits it.
+    fn fold_json(&self, config_json: &[u8], hash: &mut Fnv1a) {
+        use std::io::Write;
+        const INFALLIBLE: &str = "hashing never fails";
+        write!(
+            hash,
+            "{{\"scenario_index\":{},\"scenario\":",
+            self.scenario_index
+        )
+        .expect(INFALLIBLE);
+        serde_json::to_writer(&mut *hash, &self.scenario).expect(INFALLIBLE);
+        write!(hash, ",\"policy_index\":{},\"policy\":", self.policy_index).expect(INFALLIBLE);
+        serde_json::to_writer(&mut *hash, &self.policy).expect(INFALLIBLE);
+        write!(
+            hash,
+            ",\"seed\":{},\"config_hash\":{},\"config\":",
+            self.seed, self.config_hash
+        )
+        .expect(INFALLIBLE);
+        hash.update(config_json);
+        hash.update(b"}");
     }
 }
 
@@ -301,39 +327,45 @@ impl GridManifest {
     /// identical code-built grid produce interchangeable manifests.
     pub fn from_spec(spec: &ExperimentSpec, shard_count: usize) -> Self {
         assert!(shard_count >= 1, "need at least one shard");
-        let jobs: Vec<ManifestJob> = spec
-            .enumerate_jobs()
-            .into_iter()
-            .map(|job| {
-                let policy_index = spec
-                    .policies
-                    .iter()
-                    .position(|&p| p == job.policy)
-                    .expect("enumerated jobs carry spec policies");
-                ManifestJob {
-                    scenario_index: job.scenario,
-                    scenario: spec.scenarios[job.scenario].label.clone(),
-                    policy_index,
-                    policy: job.policy,
-                    seed: job.seed,
-                    config_hash: config_hash(&job.config),
-                    config: job.config,
-                }
-            })
-            .collect();
-        let grid_hash = Self::hash_identity(&jobs);
+        // One serialization per job: its config's JSON is hashed into the
+        // job's `config_hash` and, framed as the job's own JSON, into the
+        // grid identity — the FNV-1a of `serde_json::to_string(&jobs)`.
+        let mut config_json = Vec::new();
+        let mut identity = Fnv1a::default();
+        identity.update(b"[");
+        let mut jobs = Vec::with_capacity(spec.job_count());
+        for (j, job) in spec.enumerate_jobs().into_iter().enumerate() {
+            let policy_index = spec
+                .policies
+                .iter()
+                .position(|&p| p == job.policy)
+                .expect("enumerated jobs carry spec policies");
+            config_json.clear();
+            serde_json::to_writer(&mut config_json, &job.config)
+                .expect("scenario configs always serialize");
+            let job = ManifestJob {
+                scenario_index: job.scenario,
+                scenario: spec.scenarios[job.scenario].label.clone(),
+                policy_index,
+                policy: job.policy,
+                seed: job.seed,
+                config_hash: fnv1a64(&config_json),
+                config: job.config,
+            };
+            if j > 0 {
+                identity.update(b",");
+            }
+            job.fold_json(&config_json, &mut identity);
+            jobs.push(job);
+        }
+        identity.update(b"]");
         GridManifest {
             caem_distrib_manifest: MANIFEST_VERSION,
-            grid_hash,
+            grid_hash: identity.finish(),
             shard_count,
             seeds: spec.seeds.clone(),
             jobs,
         }
-    }
-
-    fn hash_identity(jobs: &[ManifestJob]) -> u64 {
-        let text = serde_json::to_string(&jobs.to_vec()).expect("manifest jobs always serialize");
-        fnv1a64(text.as_bytes())
     }
 
     /// The jobs belonging to one shard.
@@ -1442,6 +1474,7 @@ mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
     use crate::experiment::ScenarioSpec;
+    use crate::persist::config_hash;
     use caem_simcore::time::Duration;
 
     fn temp_grid(name: &str) -> PathBuf {
@@ -1485,6 +1518,55 @@ mod tests {
             manifest.grid_hash,
             GridManifest::from_spec(&edited, 4).grid_hash
         );
+    }
+
+    /// The quick `specs/zoo.json` grid as `experiment --quick --spec`
+    /// resolves it (the document pins its own `base_seed`).
+    fn quick_zoo_spec() -> ExperimentSpec {
+        crate::spec::GridSpec::parse(include_str!("../../../specs/zoo.json"))
+            .and_then(|parsed| parsed.resolve(0, true))
+            .expect("the committed zoo spec resolves")
+            .spec
+    }
+
+    /// Resume compares `grid_hash` against manifests already on disk, and
+    /// merged records are validated by `config_hash`: both are pinned to
+    /// the values the previous manifest builder produced.
+    #[test]
+    fn quick_zoo_manifest_hashes_are_pinned() {
+        let manifest = GridManifest::from_spec(&quick_zoo_spec(), 8);
+        assert_eq!(manifest.jobs.len(), 90);
+        assert_eq!(manifest.grid_hash, 0xd8d0_9eea_6eee_0fa5);
+        assert_eq!(manifest.jobs[0].config_hash, 0x38ba_d6a6_e948_a9a8);
+        assert_eq!(manifest.jobs[89].config_hash, 0x6083_5160_7b91_11f2);
+    }
+
+    /// The single-pass hashes equal hashing the fully serialized job list,
+    /// including labels the hand-framed job JSON has to escape.
+    #[test]
+    fn single_pass_hashes_match_serializing_the_whole_job_list() {
+        let base = ScenarioConfig::small(PolicyKind::PureLeach, 8.0, 0)
+            .with_duration(Duration::from_secs(5));
+        let spec = ExperimentSpec::paper_policies(
+            vec![
+                ScenarioSpec::new("quote \" back\\slash", base.clone()),
+                ScenarioSpec::new(
+                    "new\nline ünïcode ✓",
+                    base.with_topology(crate::config::Topology::Corridor {
+                        width_fraction: 0.3,
+                    }),
+                ),
+            ],
+            77,
+            2,
+        );
+        let manifest = GridManifest::from_spec(&spec, 3);
+        assert_eq!(manifest.jobs.len(), 12);
+        let text = serde_json::to_string(&manifest.jobs).unwrap();
+        assert_eq!(manifest.grid_hash, fnv1a64(text.as_bytes()));
+        for job in &manifest.jobs {
+            assert_eq!(job.config_hash, config_hash(&job.config));
+        }
     }
 
     #[test]

@@ -45,14 +45,48 @@ pub const STORE_VERSION: u64 = 1;
 /// Deterministic job coordinates: (scenario index, policy index, seed).
 pub type JobKey = (usize, usize, u64);
 
+/// Streaming FNV-1a 64-bit hasher.  As an [`std::io::Write`] sink it
+/// hashes JSON while it is emitted, so the text never has to exist whole.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Fold `bytes` into the hash.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte folded in so far.
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl std::io::Write for Fnv1a {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// FNV-1a 64-bit hash of a byte string.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hash = Fnv1a::default();
+    hash.update(bytes);
+    hash.finish()
 }
 
 /// Deterministic hash of a fully resolved scenario configuration (the JSON
@@ -66,8 +100,9 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// identical code-built grid therefore share store records (and the
 /// distributed manifest's validity filter) interchangeably.
 pub fn config_hash(config: &ScenarioConfig) -> u64 {
-    let text = serde_json::to_string(config).expect("scenario configs always serialize");
-    fnv1a64(text.as_bytes())
+    let mut hash = Fnv1a::default();
+    serde_json::to_writer(&mut hash, config).expect("scenario configs always serialize");
+    hash.finish()
 }
 
 /// One persisted job result: the JSONL encoding of a [`SimulationResult`]

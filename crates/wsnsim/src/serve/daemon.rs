@@ -28,7 +28,7 @@ use crate::faults::{self, RunEvent};
 use crate::persist::{decode_line, DecodedLine, JobFailure, JobKey, JobRecord};
 use crate::spec::GridSpec;
 
-use super::proto::{GridProgress, Message, PROTOCOL_VERSION};
+use super::proto::{GridProgress, Message, ShardGrant, PROTOCOL_VERSION};
 use super::transport::FrameLink;
 
 /// How long a connection loop waits for a frame before re-checking state.
@@ -357,14 +357,13 @@ impl ServiceState {
                 if grid.shard_done[shard] || grid.leases.contains_key(&shard) {
                     continue;
                 }
-                let pending: Vec<ManifestJob> = grid
-                    .manifest
-                    .shard_jobs(shard)
-                    .into_iter()
-                    .filter(|job| !grid.settled.contains(&job.key()))
-                    .cloned()
-                    .collect();
-                if pending.is_empty() {
+                let pending = ShardGrant::new(
+                    grid.manifest
+                        .shard_jobs(shard)
+                        .into_iter()
+                        .filter(|job| !grid.settled.contains(&job.key())),
+                );
+                if pending.jobs().is_empty() {
                     // Every job already settled (a dead worker streamed its
                     // lines before dropping): nothing left to re-run.
                     grid.shard_done[shard] = true;
@@ -381,7 +380,7 @@ impl ServiceState {
                     seq,
                     grid: grid.manifest.grid_hash,
                     shard: shard as u64,
-                    jobs: pending,
+                    grant: pending,
                 };
             }
             if grid.shard_done.iter().all(|done| *done) {

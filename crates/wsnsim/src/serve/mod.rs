@@ -37,7 +37,10 @@ pub mod worker;
 
 pub use client::{ServiceClient, ServiceStatus, Submission};
 pub use daemon::{serve_connection, ServiceConfig, ServiceState};
-pub use proto::{GridProgress, Message, ProtoError, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+pub use proto::{
+    GrantJob, GrantScenario, GridProgress, Message, ProtoError, ShardGrant, MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+};
 pub use transport::{loopback_pair, FrameLink, LoopbackLink, TcpLink};
 pub use worker::{run_socket_worker, SocketWorkerOptions, WorkerExit};
 

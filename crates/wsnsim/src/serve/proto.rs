@@ -20,13 +20,17 @@
 
 use std::io::Read;
 
-use serde::Value;
+use caem::policy::PolicyKind;
+use serde::{Deserialize, Serialize, Value};
 
+use crate::config::ScenarioConfig;
 use crate::distrib::ManifestJob;
+use crate::persist::config_hash;
 
 /// Protocol version spoken by this build.  A daemon rejects a worker whose
 /// hello names any other version (exit 2 at the worker binary boundary).
-pub const PROTOCOL_VERSION: u64 = 1;
+/// Version 2 ships a grant's configs once per scenario ([`ShardGrant`]).
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Upper bound on a frame's payload length.  A length prefix beyond this is
 /// treated as garbage (a desynchronized or hostile peer), not an allocation
@@ -47,9 +51,10 @@ pub enum ProtoError {
         /// Bytes actually present.
         got: usize,
     },
-    /// A frame header names a payload longer than [`MAX_FRAME_BYTES`].
+    /// A frame header names, or a sender was handed, a payload longer
+    /// than [`MAX_FRAME_BYTES`].
     Oversize {
-        /// The advertised payload length.
+        /// The advertised or offered payload length.
         len: usize,
     },
     /// A frame's payload is not a well-formed message.
@@ -137,6 +142,148 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
     Ok(payload)
 }
 
+/// One distinct scenario of a granted shard: its index in the grid's
+/// scenario list, its label, and one of its jobs' resolved configs.  The
+/// jobs of a scenario differ only in `policy` and `seed`, which each job
+/// sets on its own copy.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct GrantScenario {
+    /// Index of the scenario in the grid's scenario list.
+    pub scenario_index: usize,
+    /// The scenario's label.
+    pub scenario: String,
+    /// A resolved config of the scenario.
+    pub config: ScenarioConfig,
+}
+
+/// A granted job without its config: the coordinates of a
+/// [`ManifestJob`] plus the `config_hash` its rebuilt config must match.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct GrantJob {
+    /// Index of the job's scenario in the grid's scenario list.
+    pub scenario_index: usize,
+    /// Index of the policy in the grid's policy list.
+    pub policy_index: usize,
+    /// The protocol variant to run.
+    pub policy: PolicyKind,
+    /// Master seed of the replicate.
+    pub seed: u64,
+    /// The manifest's config hash of the job.
+    pub config_hash: u64,
+}
+
+/// The jobs of a granted shard, factored the way
+/// [`crate::experiment::ExperimentSpec::enumerate_jobs`] builds them: a
+/// table holding each scenario's config once, and slim jobs naming a table
+/// entry.  Every job names an entry of the table; both constructors check.
+#[derive(Debug, Clone)]
+pub struct ShardGrant {
+    scenarios: Vec<GrantScenario>,
+    jobs: Vec<GrantJob>,
+}
+
+impl ShardGrant {
+    /// Factor manifest jobs into a grant.  The jobs must come from one
+    /// manifest, so that jobs of one scenario share every config field but
+    /// `policy` and `seed`.
+    pub fn new<'a>(jobs: impl IntoIterator<Item = &'a ManifestJob>) -> Self {
+        let mut scenarios: Vec<GrantScenario> = Vec::new();
+        let jobs = jobs
+            .into_iter()
+            .map(|job| {
+                if !scenarios
+                    .iter()
+                    .any(|s| s.scenario_index == job.scenario_index)
+                {
+                    scenarios.push(GrantScenario {
+                        scenario_index: job.scenario_index,
+                        scenario: job.scenario.clone(),
+                        config: job.config.clone(),
+                    });
+                }
+                GrantJob {
+                    scenario_index: job.scenario_index,
+                    policy_index: job.policy_index,
+                    policy: job.policy,
+                    seed: job.seed,
+                    config_hash: job.config_hash,
+                }
+            })
+            .collect();
+        ShardGrant { scenarios, jobs }
+    }
+
+    /// Assemble a grant from its table and jobs; a job naming a scenario
+    /// the table lacks is [`ProtoError::Malformed`].
+    pub fn from_parts(
+        scenarios: Vec<GrantScenario>,
+        jobs: Vec<GrantJob>,
+    ) -> Result<Self, ProtoError> {
+        let grant = ShardGrant { scenarios, jobs };
+        if let Some(job) = grant.jobs.iter().find(|j| grant.entry(j).is_none()) {
+            return Err(ProtoError::Malformed(format!(
+                "grant job names scenario {} missing from its table",
+                job.scenario_index
+            )));
+        }
+        Ok(grant)
+    }
+
+    /// The scenario table.
+    pub fn scenarios(&self) -> &[GrantScenario] {
+        &self.scenarios
+    }
+
+    /// The slim jobs, in grant order.
+    pub fn jobs(&self) -> &[GrantJob] {
+        &self.jobs
+    }
+
+    fn entry(&self, job: &GrantJob) -> Option<&GrantScenario> {
+        self.scenarios
+            .iter()
+            .find(|s| s.scenario_index == job.scenario_index)
+    }
+
+    /// Rebuild the granted [`ManifestJob`]s: each config is its scenario's
+    /// config with the job's policy and seed.  The first job of each
+    /// scenario is checked against its carried `config_hash` — one hash per
+    /// scenario — and a mismatch (a peer whose configs serialize
+    /// differently) is [`ProtoError::Malformed`].
+    pub fn rebuild(&self) -> Result<Vec<ManifestJob>, ProtoError> {
+        let mut checked: Vec<usize> = Vec::with_capacity(self.scenarios.len());
+        self.jobs
+            .iter()
+            .map(|job| {
+                let entry = self.entry(job).expect("constructors check every index");
+                let config = entry
+                    .config
+                    .clone()
+                    .with_policy(job.policy)
+                    .with_seed(job.seed);
+                if !checked.contains(&job.scenario_index) {
+                    checked.push(job.scenario_index);
+                    if config_hash(&config) != job.config_hash {
+                        return Err(ProtoError::Malformed(format!(
+                            "grant job of scenario {} rebuilds to a config of another hash",
+                            job.scenario_index
+                        )));
+                    }
+                }
+                Ok(ManifestJob {
+                    scenario_index: job.scenario_index,
+                    scenario: entry.scenario.clone(),
+                    policy_index: job.policy_index,
+                    policy: job.policy,
+                    seed: job.seed,
+                    config_hash: job.config_hash,
+                    config,
+                })
+            })
+            .collect()
+    }
+}
+
 /// Progress of the grid a [`Message::StatusReply`] describes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridProgress {
@@ -156,7 +303,7 @@ pub struct GridProgress {
 
 /// Every message of the experiment-service protocol.
 ///
-/// No `PartialEq`: [`ManifestJob`] payloads carry a full scenario config
+/// No `PartialEq`: [`ShardGrant`] payloads carry full scenario configs
 /// (floats, no equality). Round-trip tests compare re-encoded bytes
 /// instead, which is stronger anyway.
 #[derive(Debug, Clone)]
@@ -208,8 +355,8 @@ pub enum Message {
         grid: u64,
         /// The granted shard index.
         shard: u64,
-        /// The shard's unsettled jobs, fully resolved.
-        jobs: Vec<ManifestJob>,
+        /// The shard's unsettled jobs, each scenario's config shipped once.
+        grant: ShardGrant,
     },
     /// Nothing to grant right now; retry after the given delay.
     NoWork {
@@ -412,10 +559,10 @@ impl Message {
 
     /// Encode the message as a frame payload (JSON text bytes).
     pub fn encode(&self) -> Vec<u8> {
-        let value = self.to_value();
-        serde_json::to_string(&value)
-            .expect("protocol messages always serialize")
-            .into_bytes()
+        let mut out = Vec::new();
+        serde_json::to_writer(&mut out, &self.to_value())
+            .expect("protocol messages always serialize");
+        out
     }
 
     fn to_value(&self) -> Value {
@@ -455,15 +602,12 @@ impl Message {
             | Message::Status { .. }
             | Message::Fetch { .. } => {}
             Message::Grant {
-                grid, shard, jobs, ..
+                grid, shard, grant, ..
             } => {
                 entries.push(("grid", Value::UInt(*grid)));
                 entries.push(("shard", Value::UInt(*shard)));
-                let jobs: Vec<Value> = jobs
-                    .iter()
-                    .map(|job| serde_json::to_value(job).expect("manifest jobs always serialize"))
-                    .collect();
-                entries.push(("jobs", Value::Seq(jobs)));
+                entries.push(("scenarios", grant.scenarios.to_value()));
+                entries.push(("jobs", grant.jobs.to_value()));
             }
             Message::NoWork { retry_ms, .. } => {
                 entries.push(("retry_ms", Value::UInt(*retry_ms)));
@@ -573,25 +717,15 @@ impl Message {
                     reason: str_field(&value, "reason")?,
                 },
                 "claim" => Message::Claim { seq },
-                "grant" => {
-                    let jobs = match value.get("jobs") {
-                        Some(Value::Seq(items)) => items
-                            .iter()
-                            .map(|item| {
-                                serde_json::from_value::<ManifestJob>(item.clone()).map_err(|e| {
-                                    ProtoError::Malformed(format!("undecodable grant job: {e}"))
-                                })
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                        _ => return Err(ProtoError::Malformed("grant without a jobs list".into())),
-                    };
-                    Message::Grant {
-                        seq,
-                        grid: uint_field(&value, "grid")?,
-                        shard: uint_field(&value, "shard")?,
-                        jobs,
-                    }
-                }
+                "grant" => Message::Grant {
+                    seq,
+                    grid: uint_field(&value, "grid")?,
+                    shard: uint_field(&value, "shard")?,
+                    grant: ShardGrant::from_parts(
+                        list_field(&value, "scenarios")?,
+                        list_field(&value, "jobs")?,
+                    )?,
+                },
                 "no_work" => Message::NoWork {
                     seq,
                     retry_ms: uint_field(&value, "retry_ms")?,
@@ -691,6 +825,22 @@ impl Message {
                 }
             };
         Ok(msg)
+    }
+}
+
+/// Decode a list field item by item, straight from the parsed tree.
+fn list_field<T: serde::DeserializeOwned>(value: &Value, name: &str) -> Result<Vec<T>, ProtoError> {
+    match value.get(name) {
+        Some(Value::Seq(items)) => items
+            .iter()
+            .map(|item| {
+                T::from_value(item)
+                    .map_err(|e| ProtoError::Malformed(format!("undecodable `{name}` item: {e}")))
+            })
+            .collect(),
+        _ => Err(ProtoError::Malformed(format!(
+            "missing or non-list `{name}`"
+        ))),
     }
 }
 

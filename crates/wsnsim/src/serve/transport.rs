@@ -23,7 +23,8 @@ use super::proto::{encode_frame, ProtoError, MAX_FRAME_BYTES};
 /// A bidirectional frame pipe.  `recv` returns `Ok(None)` on timeout and
 /// [`ProtoError::Closed`] once the peer has hung up at a frame boundary.
 pub trait FrameLink: Send {
-    /// Send one frame payload.
+    /// Send one frame payload.  A payload over [`MAX_FRAME_BYTES`] is
+    /// refused as [`ProtoError::Oversize`]: the receiver would drop it.
     fn send(&mut self, payload: &[u8]) -> Result<(), ProtoError>;
     /// Receive the next frame payload, waiting at most `timeout`
     /// (indefinitely when `None`).
@@ -70,8 +71,17 @@ impl TcpLink {
     }
 }
 
+/// Refuse a payload the receiving end is bound to reject.
+fn check_size(payload: &[u8]) -> Result<(), ProtoError> {
+    if payload.len() > MAX_FRAME_BYTES {
+        return Err(ProtoError::Oversize { len: payload.len() });
+    }
+    Ok(())
+}
+
 impl FrameLink for TcpLink {
     fn send(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
+        check_size(payload)?;
         let frame = encode_frame(payload);
         self.stream.write_all(&frame)?;
         self.stream.flush()?;
@@ -158,6 +168,7 @@ impl LoopbackLink {
 
 impl FrameLink for LoopbackLink {
     fn send(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
+        check_size(payload)?;
         self.apply_fault(payload)
     }
 

@@ -2,7 +2,8 @@
 //! reconcile — the service counterpart of [`crate::distrib::run_worker`].
 //!
 //! A socket worker needs no shared filesystem: it receives each granted
-//! shard's jobs inline with the grant, runs them through the same
+//! shard's jobs inline with the grant — each scenario's config once, the
+//! jobs as coordinates — rebuilds them, runs them through the same
 //! [`run_job_guarded`] retry/quarantine path as a file worker, and streams
 //! the resulting store lines back in [`Message::Records`] batches coalesced
 //! up to 64 KiB.  While the shard's rayon fan-out is running, the
@@ -135,8 +136,8 @@ pub fn run_socket_worker(
         };
         let (grid, shard, jobs) = match grant {
             Message::Grant {
-                grid, shard, jobs, ..
-            } => (grid, shard, jobs),
+                grid, shard, grant, ..
+            } => (grid, shard, grant.rebuild()?),
             Message::NoWork { retry_ms, .. } => {
                 // Sleep in short slices so a stop request is honoured
                 // promptly even under a long retry hint.

@@ -180,8 +180,8 @@ fn fleet_reports_are_byte_identical_clean_under_frame_faults_and_after_a_death()
     ));
     let (grid, shard, jobs) = match rpc(&mut dying, &Message::Claim { seq: 2 }) {
         Message::Grant {
-            grid, shard, jobs, ..
-        } => (grid, shard, jobs),
+            grid, shard, grant, ..
+        } => (grid, shard, grant.rebuild().expect("grant rebuilds")),
         other => panic!("expected a grant, got {other:?}"),
     };
     assert!(!jobs.is_empty());
@@ -239,17 +239,20 @@ fn handshakes_reject_version_skew_and_manifest_hash_mismatch() {
         exit
     };
 
-    // Version skew.
-    let mut opts = SocketWorkerOptions::new("skewed".to_string());
-    opts.protocol = 99;
-    match run_worker_with(opts) {
-        WorkerExit::Rejected(reason) => {
-            assert!(
-                reason.contains("protocol"),
-                "reason names the skew: {reason}"
-            )
+    // Version skew, including a worker of the previous protocol version
+    // (whose grants carried every job's config).
+    for protocol in [1, 99] {
+        let mut opts = SocketWorkerOptions::new("skewed".to_string());
+        opts.protocol = protocol;
+        match run_worker_with(opts) {
+            WorkerExit::Rejected(reason) => {
+                assert!(
+                    reason.contains(&format!("protocol version {protocol}")),
+                    "reason names the skew: {reason}"
+                )
+            }
+            other => panic!("expected rejection, got {other:?}"),
         }
-        other => panic!("expected rejection, got {other:?}"),
     }
 
     // A pinned hash with no active grid to check it against.

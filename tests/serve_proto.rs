@@ -18,13 +18,18 @@ use std::sync::OnceLock;
 
 use caem_suite::caem::policy::PolicyKind;
 use caem_suite::simcore::time::Duration;
+use caem_suite::wsnsim::config::Topology;
 use caem_suite::wsnsim::distrib::{GridManifest, ManifestJob};
 use caem_suite::wsnsim::experiment::{ExperimentReport, ExperimentSpec, ScenarioSpec};
 use caem_suite::wsnsim::persist::JobRecord;
 use caem_suite::wsnsim::serve::proto::{encode_frame, read_frame};
-use caem_suite::wsnsim::serve::{GridProgress, Message, ProtoError, MAX_FRAME_BYTES};
+use caem_suite::wsnsim::serve::{
+    loopback_pair, FrameLink, GrantJob, GrantScenario, GridProgress, Message, ProtoError,
+    ShardGrant, TcpLink, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+};
 use caem_suite::wsnsim::ScenarioConfig;
 use proptest::prelude::*;
+use serde_json::Value;
 
 // ---------------------------------------------------------------------------
 // Fixtures.
@@ -39,6 +44,31 @@ fn tiny_manifest() -> &'static GridManifest {
         let base = ScenarioConfig::small(PolicyKind::PureLeach, 8.0, 1)
             .with_duration(Duration::from_secs(5));
         let spec = ExperimentSpec::paper_policies(vec![ScenarioSpec::new("tiny", base)], 11, 2);
+        GridManifest::from_spec(&spec, 2)
+    })
+}
+
+/// A two-scenario grid — one with a topology override, labels the JSON
+/// emitter must escape — under the paper's three policies and two seeds:
+/// the source of the generator's grants.
+fn grant_manifest() -> &'static GridManifest {
+    static MANIFEST: OnceLock<GridManifest> = OnceLock::new();
+    MANIFEST.get_or_init(|| {
+        let base = ScenarioConfig::small(PolicyKind::PureLeach, 8.0, 1)
+            .with_duration(Duration::from_secs(5));
+        let spec = ExperimentSpec::paper_policies(
+            vec![
+                ScenarioSpec::new("uniform \"q\"", base.clone()),
+                ScenarioSpec::new(
+                    "corridor\\ ünï\n",
+                    base.with_topology(Topology::Corridor {
+                        width_fraction: 0.3,
+                    }),
+                ),
+            ],
+            11,
+            2,
+        );
         GridManifest::from_spec(&spec, 2)
     })
 }
@@ -87,7 +117,13 @@ fn arbitrary_message(choice: u8, a: u64, b: u64, flag: bool) -> Message {
             seq,
             grid: a,
             shard: b % 16,
-            jobs: tiny_manifest().jobs[..(b % 4) as usize].to_vec(),
+            grant: ShardGrant::new(
+                grant_manifest()
+                    .jobs
+                    .iter()
+                    .skip((a % 12) as usize)
+                    .step_by((b % 5 + 1) as usize),
+            ),
         },
         5 => Message::NoWork {
             seq,
@@ -185,6 +221,164 @@ fn all_twenty_variants_are_covered_by_the_generator() {
     kinds.sort_unstable();
     kinds.dedup();
     assert_eq!(kinds.len(), 20, "one distinct kind per generator choice");
+}
+
+/// The emitted bytes are the compact JSON of the message's tree, in the
+/// declared field order.
+#[test]
+fn encoding_is_the_compact_json_of_the_message_tree() {
+    let hello = Message::Hello {
+        seq: 1,
+        protocol: PROTOCOL_VERSION,
+        worker: "w \"1\"".into(),
+        threads: 4,
+        expect_hash: Some(9),
+    };
+    assert_eq!(
+        String::from_utf8(hello.encode()).unwrap(),
+        r#"{"type":"hello","seq":1,"protocol":2,"worker":"w \"1\"","threads":4,"expect_hash":9}"#
+    );
+    for choice in 0..20 {
+        let bytes = arbitrary_message(choice, 5, 8, choice % 2 == 0).encode();
+        let tree = serde_json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        assert_eq!(serde_json::to_string(&tree).unwrap().into_bytes(), bytes);
+    }
+}
+
+/// A v2 grant ships each scenario's config once; the jobs it rebuilds
+/// re-serialize to the manifest's own job JSON, byte for byte, across all
+/// three policies, both seeds and the topology override.
+#[test]
+fn rebuilt_grant_jobs_reserialize_byte_identically_to_the_manifest() {
+    let manifest = grant_manifest();
+    let msg = Message::Grant {
+        seq: 3,
+        grid: manifest.grid_hash,
+        shard: 0,
+        grant: ShardGrant::new(&manifest.jobs),
+    };
+    let grant = match Message::decode(&msg.encode()).expect("grant decodes") {
+        Message::Grant { grant, .. } => grant,
+        other => panic!("expected a grant, got {other:?}"),
+    };
+    assert_eq!(grant.scenarios().len(), 2, "one table entry per scenario");
+    let rebuilt = grant.rebuild().expect("grant rebuilds");
+    assert_eq!(rebuilt.len(), manifest.jobs.len());
+    for (job, original) in rebuilt.iter().zip(&manifest.jobs) {
+        assert_eq!(
+            serde_json::to_string(job).unwrap(),
+            serde_json::to_string(original).unwrap()
+        );
+    }
+}
+
+/// Re-encode a grant with one job field replaced.
+fn tampered_grant(field: &str, value: Value) -> Vec<u8> {
+    let msg = Message::Grant {
+        seq: 1,
+        grid: 2,
+        shard: 0,
+        grant: ShardGrant::new(&grant_manifest().jobs),
+    };
+    let mut tree = serde_json::parse(std::str::from_utf8(&msg.encode()).unwrap()).unwrap();
+    let Value::Map(entries) = &mut tree else {
+        panic!("messages are maps")
+    };
+    let (_, Value::Seq(jobs)) = entries.iter_mut().find(|(k, _)| k == "jobs").unwrap() else {
+        panic!("grant jobs are a list")
+    };
+    let Value::Map(job) = &mut jobs[0] else {
+        panic!("grant jobs are maps")
+    };
+    job.iter_mut().find(|(k, _)| k == field).unwrap().1 = value;
+    serde_json::to_string(&tree).unwrap().into_bytes()
+}
+
+#[test]
+fn grant_job_naming_a_scenario_missing_from_the_table_is_malformed() {
+    match Message::decode(&tampered_grant("scenario_index", Value::UInt(7))) {
+        Err(ProtoError::Malformed(reason)) => {
+            assert!(reason.contains("scenario 7"), "{reason}")
+        }
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+#[test]
+fn grant_job_whose_config_hash_disagrees_fails_to_rebuild() {
+    let bytes = tampered_grant("config_hash", Value::UInt(1));
+    let Ok(Message::Grant { grant, .. }) = Message::decode(&bytes) else {
+        panic!("the tampered grant is still well-formed")
+    };
+    match grant.rebuild() {
+        Err(ProtoError::Malformed(reason)) => assert!(reason.contains("hash"), "{reason}"),
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+/// Slim jobs keep a 20,000-job shard far below the frame cap (the v1
+/// grant, at ~1.7 KB a job, overran 32 MiB near 19.8k jobs).
+#[test]
+fn a_twenty_thousand_job_grant_encodes_under_four_mib() {
+    let config = grant_manifest().jobs[0].config.clone();
+    let jobs: Vec<GrantJob> = (0..20_000u64)
+        .map(|i| GrantJob {
+            scenario_index: 0,
+            policy_index: 1,
+            policy: PolicyKind::Scheme1Adaptive,
+            seed: u64::MAX - i,
+            config_hash: u64::MAX - 7 * i,
+        })
+        .collect();
+    let scenario = GrantScenario {
+        scenario_index: 0,
+        scenario: "uniform".into(),
+        config,
+    };
+    let msg = Message::Grant {
+        seq: u64::MAX,
+        grid: u64::MAX,
+        shard: 7,
+        grant: ShardGrant::from_parts(vec![scenario], jobs).expect("every job names the table"),
+    };
+    let len = msg.encode().len();
+    assert!(len < 4 * 1024 * 1024, "grant of {len} bytes");
+}
+
+/// Both links refuse, with a typed error, a payload the peer's reader is
+/// bound to reject, and stay usable afterwards.
+#[test]
+fn links_refuse_oversize_payloads() {
+    let oversize = vec![b' '; MAX_FRAME_BYTES + 1];
+    let claim = Message::Claim { seq: 1 }.encode();
+
+    let (mut a, mut b) = loopback_pair();
+    match a.send(&oversize) {
+        Err(ProtoError::Oversize { len }) => assert_eq!(len, MAX_FRAME_BYTES + 1),
+        other => panic!("expected Oversize, got {other:?}"),
+    }
+    a.send(&claim).unwrap();
+    assert_eq!(
+        b.try_recv().unwrap(),
+        Some(claim.clone()),
+        "nothing else was sent"
+    );
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut tx =
+        TcpLink::new(std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+    let mut rx = TcpLink::new(listener.accept().unwrap().0);
+    match tx.send(&oversize) {
+        Err(ProtoError::Oversize { len }) => assert_eq!(len, MAX_FRAME_BYTES + 1),
+        other => panic!("expected Oversize, got {other:?}"),
+    }
+    tx.send(&claim).unwrap();
+    let wait = Some(std::time::Duration::from_secs(10));
+    assert_eq!(
+        rx.recv(wait).unwrap(),
+        Some(claim),
+        "the stream stays in sync"
+    );
 }
 
 // ---------------------------------------------------------------------------
