@@ -10,11 +10,12 @@
 //!    positionals are typed [`CliError`]s (exit 2 with a usage message at
 //!    the binary boundary).  Both `--flag value` and `--flag=value` work.
 //! 2. A **mode builder** ([`ExperimentCli::from_args`]) that folds the
-//!    lexed flags into one [`ExperimentMode`] value.  Invalid combinations
-//!    are unrepresentable by construction — `Reaggregate` simply has no
-//!    `workers` field, a distributed run has no `store` field — so the old
-//!    conflict table is replaced by the shape of the types, and every
-//!    remaining cross-flag rule is a typed error naming both flags.
+//!    lexed flags into one [`ExperimentMode`] value.  Each mode declares
+//!    the flags it accepts; any other flag given is
+//!    [`CliError::NotInMode`].  Invalid combinations are unrepresentable by
+//!    construction — `Reaggregate` simply has no `workers` field, a
+//!    distributed run has no `store` field — and every remaining cross-flag
+//!    rule is a typed error naming both flags.
 
 use std::fmt;
 
@@ -379,179 +380,39 @@ impl ExperimentCli {
         I: IntoIterator<Item = String>,
     {
         let parsed = ParsedArgs::lex(args, EXPERIMENT_FLAGS)?;
-        let mut positionals = parsed.positionals.iter();
-        let seed = match positionals.next() {
-            None => None,
-            Some(text) => Some(text.parse().map_err(|_| CliError::InvalidValue {
-                flag: "<seed>",
-                value: text.clone(),
-                expected: "an unsigned integer seed",
-            })?),
-        };
-        if let Some(extra) = positionals.next() {
-            return Err(CliError::UnexpectedPositional(extra.clone()));
-        }
+        let seed = positional_seed(&parsed)?;
+        let selected = select_mode(&parsed, EXPERIMENT_MODES)?.expect("run is the default mode");
+        reject_unaccepted(&parsed, selected)?;
 
-        // Exactly one mode selector may be present.
-        let selectors: [(&'static str, bool); 5] = [
-            ("--reaggregate", parsed.has("--reaggregate")),
-            ("--worker-shard", parsed.has("--worker-shard")),
-            ("--connect", parsed.has("--connect")),
-            ("--list-scenarios", parsed.has("--list-scenarios")),
-            ("--print-spec", parsed.has("--print-spec")),
-        ];
-        let mut selected: Option<&'static str> = None;
-        for (name, present) in selectors {
-            if present {
-                if let Some(earlier) = selected {
-                    return Err(CliError::ModeConflict(earlier, name));
-                }
-                selected = Some(name);
-            }
-        }
-
-        let mode = match selected {
-            Some("--worker-shard") => {
-                if let Some(extra) = parsed.positionals.first() {
-                    // Workers are manifest-driven: a positional seed would
-                    // be silently ignored, so reject it like the flags below.
-                    return Err(CliError::UnexpectedPositional(extra.clone()));
-                }
-                let dir = parsed
+        let mode = match selected.selector {
+            Some("--worker-shard") => ExperimentMode::Worker {
+                dir: parsed
                     .value("--worker-shard")
                     .expect("lexer enforced the value")
-                    .to_string();
-                let store = parsed
+                    .to_string(),
+                store: parsed
                     .value("--store")
                     .ok_or(CliError::Requires {
                         flag: "--worker-shard",
                         requires: "--store",
                     })?
-                    .to_string();
-                // A worker is entirely manifest-driven: any grid- or
-                // run-shaping flag would be silently ignored, so reject all.
-                reject_all(
-                    &parsed,
-                    "worker",
-                    &[
-                        "--resume",
-                        "--workers",
-                        "--distrib-dir",
-                        "--target-ci",
-                        "--ci-metric",
-                        "--max-replicates",
-                        "--quick",
-                        "--spec",
-                        "--strict",
-                        "--fsync",
-                        "--chaos",
-                        "--profile",
-                        "--protocol",
-                        "--expect-hash",
-                    ],
-                )?;
-                ExperimentMode::Worker {
-                    dir,
-                    store,
-                    lease_ttl: positive_seconds(&parsed, "--lease-ttl")?,
-                }
-            }
-            Some("--connect") => {
-                if let Some(extra) = parsed.positionals.first() {
-                    return Err(CliError::UnexpectedPositional(extra.clone()));
-                }
-                let addr = parsed
+                    .to_string(),
+                lease_ttl: positive_seconds(&parsed, "--lease-ttl")?,
+            },
+            Some("--connect") => ExperimentMode::SocketWorker {
+                addr: parsed
                     .value("--connect")
                     .expect("lexer enforced the value")
-                    .to_string();
-                // A socket worker learns everything else (jobs, lease
-                // tuning, heartbeat cadence) from the daemon's handshake
-                // and grants; every other flag would be silently ignored.
-                reject_all(
-                    &parsed,
-                    "socket-worker",
-                    &[
-                        "--resume",
-                        "--store",
-                        "--workers",
-                        "--distrib-dir",
-                        "--target-ci",
-                        "--ci-metric",
-                        "--max-replicates",
-                        "--quick",
-                        "--spec",
-                        "--strict",
-                        "--fsync",
-                        "--chaos",
-                        "--profile",
-                        "--lease-ttl",
-                    ],
-                )?;
-                ExperimentMode::SocketWorker {
-                    addr,
-                    protocol: parsed.parsed("--protocol", "an unsigned integer version")?,
-                    expect_hash: parsed.parsed("--expect-hash", "an unsigned integer hash")?,
-                }
-            }
-            Some("--reaggregate") => {
-                reject_all(
-                    &parsed,
-                    "reaggregate",
-                    &[
-                        "--resume",
-                        "--workers",
-                        "--distrib-dir",
-                        "--target-ci",
-                        "--ci-metric",
-                        "--max-replicates",
-                        "--strict",
-                        "--fsync",
-                        "--chaos",
-                        "--profile",
-                        "--lease-ttl",
-                        "--protocol",
-                        "--expect-hash",
-                    ],
-                )?;
-                ExperimentMode::Reaggregate {
-                    store: parsed.value("--store").map(str::to_string),
-                }
-            }
-            Some(introspect @ ("--list-scenarios" | "--print-spec")) => {
-                let mode_name = if introspect == "--list-scenarios" {
-                    "list-scenarios"
-                } else {
-                    "print-spec"
-                };
-                reject_all(
-                    &parsed,
-                    mode_name,
-                    &[
-                        "--resume",
-                        "--store",
-                        "--workers",
-                        "--distrib-dir",
-                        "--target-ci",
-                        "--ci-metric",
-                        "--max-replicates",
-                        "--strict",
-                        "--fsync",
-                        "--chaos",
-                        "--profile",
-                        "--lease-ttl",
-                        "--protocol",
-                        "--expect-hash",
-                    ],
-                )?;
-                if introspect == "--list-scenarios" {
-                    ExperimentMode::ListScenarios
-                } else {
-                    ExperimentMode::PrintSpec
-                }
-            }
+                    .to_string(),
+                protocol: parsed.parsed("--protocol", "an unsigned integer version")?,
+                expect_hash: parsed.parsed("--expect-hash", "an unsigned integer hash")?,
+            },
+            Some("--reaggregate") => ExperimentMode::Reaggregate {
+                store: parsed.value("--store").map(str::to_string),
+            },
+            Some("--list-scenarios") => ExperimentMode::ListScenarios,
+            Some("--print-spec") => ExperimentMode::PrintSpec,
             _ => {
-                // The socket-worker vocabulary means nothing to a run.
-                reject_all(&parsed, "run", &["--protocol", "--expect-hash"])?;
                 let sequential = match parsed.parsed::<f64>("--target-ci", "a number")? {
                     Some(target_half_width) => Some(SequentialArgs {
                         target_half_width,
@@ -656,18 +517,136 @@ impl ExperimentCli {
     }
 }
 
-/// Reject every flag of `flags` that is present, naming the selected mode.
-fn reject_all(
+/// One mode of a binary: the flag that selects it, its name, whether it
+/// takes the positional `[seed]`, and every other flag it accepts.  Any
+/// flag outside that list is [`CliError::NotInMode`] — its effect would be
+/// silently ignored.
+struct ModeDef {
+    /// The selecting flag (`None` for the binary's default mode).
+    selector: Option<&'static str>,
+    name: &'static str,
+    seed: bool,
+    accepts: &'static [&'static str],
+}
+
+/// The `experiment` binary's modes, in selector precedence order; the
+/// selector-less run mode is the default.
+const EXPERIMENT_MODES: &[ModeDef] = &[
+    ModeDef {
+        selector: Some("--reaggregate"),
+        name: "reaggregate",
+        seed: true,
+        accepts: &["--quick", "--spec", "--store"],
+    },
+    ModeDef {
+        selector: Some("--worker-shard"),
+        name: "worker",
+        seed: false,
+        accepts: &["--store", "--lease-ttl"],
+    },
+    ModeDef {
+        selector: Some("--connect"),
+        name: "socket-worker",
+        seed: false,
+        accepts: &["--protocol", "--expect-hash"],
+    },
+    ModeDef {
+        selector: Some("--list-scenarios"),
+        name: "list-scenarios",
+        seed: true,
+        accepts: &["--quick", "--spec"],
+    },
+    ModeDef {
+        selector: Some("--print-spec"),
+        name: "print-spec",
+        seed: true,
+        accepts: &["--quick", "--spec"],
+    },
+    ModeDef {
+        selector: None,
+        name: "run",
+        seed: true,
+        accepts: &[
+            "--quick",
+            "--spec",
+            "--resume",
+            "--store",
+            "--workers",
+            "--distrib-dir",
+            "--target-ci",
+            "--ci-metric",
+            "--max-replicates",
+            "--strict",
+            "--fsync",
+            "--chaos",
+            "--profile",
+            "--lease-ttl",
+        ],
+    },
+];
+
+/// The mode the command line selects: the one whose selector is present
+/// (two present selectors are a [`CliError::ModeConflict`]), else the
+/// selector-less default mode, if the binary has one.
+fn select_mode(
     parsed: &ParsedArgs,
-    mode: &'static str,
-    flags: &[&'static str],
-) -> Result<(), CliError> {
-    for &name in flags {
-        if parsed.has(name) {
-            return Err(CliError::NotInMode { flag: name, mode });
+    modes: &'static [ModeDef],
+) -> Result<Option<&'static ModeDef>, CliError> {
+    let mut selected: Option<(&'static str, &'static ModeDef)> = None;
+    for mode in modes {
+        let Some(selector) = mode.selector.filter(|s| parsed.has(s)) else {
+            continue;
+        };
+        if let Some((earlier, _)) = selected {
+            return Err(CliError::ModeConflict(earlier, selector));
         }
+        selected = Some((selector, mode));
     }
-    Ok(())
+    Ok(selected
+        .map(|(_, mode)| mode)
+        .or_else(|| modes.iter().find(|m| m.selector.is_none())))
+}
+
+/// Reject a positional seed `mode` does not take (workers are manifest- or
+/// daemon-driven: the seed would be silently ignored), then the first given
+/// flag (in command-line order) that `mode` neither is selected by nor
+/// accepts.
+fn reject_unaccepted(parsed: &ParsedArgs, mode: &ModeDef) -> Result<(), CliError> {
+    if let Some(extra) = parsed.positionals.first().filter(|_| !mode.seed) {
+        return Err(CliError::UnexpectedPositional(extra.clone()));
+    }
+    match parsed
+        .values
+        .iter()
+        .map(|&(flag, _)| flag)
+        .find(|&flag| mode.selector != Some(flag) && !mode.accepts.contains(&flag))
+    {
+        Some(flag) => Err(CliError::NotInMode {
+            flag,
+            mode: mode.name,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The optional positional `[seed]` shared by every binary that takes one:
+/// at most one unsigned integer.
+fn positional_seed(parsed: &ParsedArgs) -> Result<Option<u64>, CliError> {
+    let mut positionals = parsed.positionals.iter();
+    let seed = positionals
+        .next()
+        .map(|text| {
+            text.parse().map_err(|_| CliError::InvalidValue {
+                flag: "<seed>",
+                value: text.clone(),
+                expected: "an unsigned integer seed",
+            })
+        })
+        .transpose()?;
+    if let Some(extra) = positionals.next() {
+        return Err(CliError::UnexpectedPositional(extra.clone()));
+    }
+    Ok(seed)
 }
 
 /// Parse a duration-in-seconds flag that must be positive and finite.
@@ -718,6 +697,35 @@ pub const SERVE_FLAGS: &[FlagDef] = &[
     flag("--fetch"),
     option("--out"),
     option("--timeout"),
+];
+
+/// The `caem-serve` binary's modes, in selector precedence order; there is
+/// no default mode.
+const SERVE_MODES: &[ModeDef] = &[
+    ModeDef {
+        selector: Some("--listen"),
+        name: "daemon",
+        seed: false,
+        accepts: &["--shards", "--lease-ttl", "--heartbeat"],
+    },
+    ModeDef {
+        selector: Some("--submit"),
+        name: "submit",
+        seed: false,
+        accepts: &["--addr", "--quick", "--seed"],
+    },
+    ModeDef {
+        selector: Some("--status"),
+        name: "status",
+        seed: false,
+        accepts: &["--addr"],
+    },
+    ModeDef {
+        selector: Some("--fetch"),
+        name: "fetch",
+        seed: false,
+        accepts: &["--addr", "--out", "--timeout"],
+    },
 ];
 
 /// The mutually exclusive modes of the `caem-serve` binary.
@@ -780,117 +788,49 @@ impl ServeCli {
         I: IntoIterator<Item = String>,
     {
         let parsed = ParsedArgs::lex(args, SERVE_FLAGS)?;
-        if let Some(extra) = parsed.positionals.first() {
-            return Err(CliError::UnexpectedPositional(extra.clone()));
-        }
-        let selectors: [(&'static str, bool); 4] = [
-            ("--listen", parsed.has("--listen")),
-            ("--submit", parsed.has("--submit")),
-            ("--status", parsed.has("--status")),
-            ("--fetch", parsed.has("--fetch")),
-        ];
-        let mut selected: Option<&'static str> = None;
-        for (name, present) in selectors {
-            if present {
-                if let Some(earlier) = selected {
-                    return Err(CliError::ModeConflict(earlier, name));
-                }
-                selected = Some(name);
-            }
-        }
-        let addr_for = |mode: &'static str| -> Result<String, CliError> {
+        let selected = select_mode(&parsed, SERVE_MODES)?.ok_or(CliError::Requires {
+            flag: "caem-serve",
+            requires: "one of --listen, --submit, --status, --fetch",
+        })?;
+        reject_unaccepted(&parsed, selected)?;
+        let selector = selected.selector.expect("serve modes have selectors");
+        let addr = || -> Result<String, CliError> {
             parsed
                 .value("--addr")
                 .map(str::to_string)
                 .ok_or(CliError::Requires {
-                    flag: mode,
+                    flag: selector,
                     requires: "--addr",
                 })
         };
-        let mode = match selected {
-            Some("--listen") => {
-                reject_all(
-                    &parsed,
-                    "daemon",
-                    &["--addr", "--quick", "--seed", "--out", "--timeout"],
-                )?;
-                ServeMode::Daemon {
-                    listen: parsed
-                        .value("--listen")
-                        .expect("lexer enforced the value")
-                        .to_string(),
-                    shards: parsed
-                        .parsed("--shards", "an integer >= 1")?
-                        .map(require_at_least_one("--shards"))
-                        .transpose()?,
-                    lease_ttl: positive_seconds(&parsed, "--lease-ttl")?,
-                    heartbeat: positive_seconds(&parsed, "--heartbeat")?,
-                }
-            }
-            Some("--submit") => {
-                reject_all(
-                    &parsed,
-                    "submit",
-                    &[
-                        "--shards",
-                        "--lease-ttl",
-                        "--heartbeat",
-                        "--out",
-                        "--timeout",
-                    ],
-                )?;
-                ServeMode::Submit {
-                    addr: addr_for("--submit")?,
-                    file: parsed
-                        .value("--submit")
-                        .expect("lexer enforced the value")
-                        .to_string(),
-                    quick: parsed.has("--quick"),
-                    seed: parsed.parsed("--seed", "an unsigned integer seed")?,
-                }
-            }
-            Some("--status") => {
-                reject_all(
-                    &parsed,
-                    "status",
-                    &[
-                        "--shards",
-                        "--lease-ttl",
-                        "--heartbeat",
-                        "--quick",
-                        "--seed",
-                        "--out",
-                        "--timeout",
-                    ],
-                )?;
-                ServeMode::Status {
-                    addr: addr_for("--status")?,
-                }
-            }
-            Some("--fetch") => {
-                reject_all(
-                    &parsed,
-                    "fetch",
-                    &[
-                        "--shards",
-                        "--lease-ttl",
-                        "--heartbeat",
-                        "--quick",
-                        "--seed",
-                    ],
-                )?;
-                ServeMode::Fetch {
-                    addr: addr_for("--fetch")?,
-                    out: parsed.value("--out").map(str::to_string),
-                    timeout: positive_seconds(&parsed, "--timeout")?,
-                }
-            }
-            _ => {
-                return Err(CliError::Requires {
-                    flag: "caem-serve",
-                    requires: "one of --listen, --submit, --status, --fetch",
-                })
-            }
+        let mode = match selector {
+            "--listen" => ServeMode::Daemon {
+                listen: parsed
+                    .value("--listen")
+                    .expect("lexer enforced the value")
+                    .to_string(),
+                shards: parsed
+                    .parsed("--shards", "an integer >= 1")?
+                    .map(require_at_least_one("--shards"))
+                    .transpose()?,
+                lease_ttl: positive_seconds(&parsed, "--lease-ttl")?,
+                heartbeat: positive_seconds(&parsed, "--heartbeat")?,
+            },
+            "--submit" => ServeMode::Submit {
+                addr: addr()?,
+                file: parsed
+                    .value("--submit")
+                    .expect("lexer enforced the value")
+                    .to_string(),
+                quick: parsed.has("--quick"),
+                seed: parsed.parsed("--seed", "an unsigned integer seed")?,
+            },
+            "--status" => ServeMode::Status { addr: addr()? },
+            _ => ServeMode::Fetch {
+                addr: addr()?,
+                out: parsed.value("--out").map(str::to_string),
+                timeout: positive_seconds(&parsed, "--timeout")?,
+            },
         };
         Ok(ServeCli { mode })
     }
@@ -918,20 +858,8 @@ impl FigureArgs {
         I: IntoIterator<Item = String>,
     {
         let parsed = ParsedArgs::lex(args, &[flag("--quick")])?;
-        let mut positionals = parsed.positionals.iter();
-        let seed = match positionals.next() {
-            None => crate::DEFAULT_SEED,
-            Some(text) => text.parse().map_err(|_| CliError::InvalidValue {
-                flag: "<seed>",
-                value: text.clone(),
-                expected: "an unsigned integer seed",
-            })?,
-        };
-        if let Some(extra) = positionals.next() {
-            return Err(CliError::UnexpectedPositional(extra.clone()));
-        }
         Ok(FigureArgs {
-            seed,
+            seed: positional_seed(&parsed)?.unwrap_or(crate::DEFAULT_SEED),
             quick: parsed.has("--quick"),
         })
     }
@@ -997,18 +925,7 @@ impl NetperfArgs {
                 option("--out"),
             ],
         )?;
-        let mut positionals = parsed.positionals.iter();
-        let seed = match positionals.next() {
-            None => crate::DEFAULT_SEED,
-            Some(text) => text.parse().map_err(|_| CliError::InvalidValue {
-                flag: "<seed>",
-                value: text.clone(),
-                expected: "an unsigned integer seed",
-            })?,
-        };
-        if let Some(extra) = positionals.next() {
-            return Err(CliError::UnexpectedPositional(extra.clone()));
-        }
+        let seed = positional_seed(&parsed)?.unwrap_or(crate::DEFAULT_SEED);
         let profile = parsed.has("--profile");
         let repeats = parsed.parsed::<usize>("--repeats", "an integer >= 1")?;
         if repeats == Some(0) {

@@ -56,8 +56,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::ScenarioConfig;
 use crate::experiment::{
-    worst_ci_half_width, ExperimentJob, ExperimentReport, ExperimentSpec, SequentialOutcome,
-    SequentialRound, SequentialStopping,
+    ExperimentJob, ExperimentReport, ExperimentSpec, SequentialOutcome, SequentialStopping,
 };
 use crate::faults::{self, retry_transient, RetryPolicy, RunEvent};
 use crate::persist::{
@@ -408,27 +407,6 @@ impl GridManifest {
         Ok(manifest)
     }
 
-    /// Reconstruct the canonical resolved spec this manifest was derived
-    /// from — what a worker on another machine can dump to verify the grid
-    /// definition it received matches the coordinator's `--print-spec`.
-    pub fn resolved_spec(&self) -> crate::spec::ResolvedSpec {
-        let mut scenarios: Vec<(String, u64, ScenarioConfig)> = Vec::new();
-        let mut policies = Vec::new();
-        for job in &self.jobs {
-            if !scenarios.iter().any(|(label, _, _)| *label == job.scenario) {
-                scenarios.push((job.scenario.clone(), job.config_hash, job.config.clone()));
-            }
-            if !policies.contains(&job.policy) {
-                policies.push(job.policy);
-            }
-        }
-        crate::spec::ResolvedSpec {
-            scenarios,
-            policies,
-            seeds: self.seeds.clone(),
-        }
-    }
-
     /// Validity lookup for merged records: job key → (config hash, label).
     fn record_filter(&self) -> HashMap<JobKey, (u64, &str)> {
         self.jobs
@@ -522,31 +500,65 @@ fn owner_verifiably_dead(lease: &ShardLease) -> bool {
     }
 }
 
-/// Is the lease at `path` stealable?  Yes when its owner process is
-/// verifiably dead, or when the file has not been refreshed within `ttl`.
-/// Age reads go through the lease-IO seam and clamp future mtimes to zero,
-/// so clock skew can only delay a TTL steal — a spurious steal (two workers
-/// running one shard) stays safe regardless, because records are
-/// deterministic and the merge dedupes by job key.
-fn lease_is_stale(path: &Path, lease: Option<&ShardLease>, ttl: StdDuration) -> bool {
-    if let Some(lease) = lease {
-        if owner_verifiably_dead(lease) {
-            return true;
-        }
+/// Why a lease may be taken over from its holder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StaleRule {
+    /// The holder is gone: its process is dead or its pid was reused (file
+    /// bus), or its connection dropped (daemon).
+    OwnerGone,
+    /// The holder is silent: its last heartbeat is at least one TTL old.
+    Expired,
+}
+
+/// The one staleness rule both lease holders apply — the file bus's
+/// lock-file leases and the daemon's shard table: a lease whose owner is
+/// gone is stale at once, and any other lease once `age >= ttl`.  The age
+/// is only read when the owner is not gone (a file-bus age read can carry
+/// an injected clock skew, counted as a fault).
+pub(crate) fn lease_staleness(
+    owner_gone: bool,
+    age: impl FnOnce() -> StdDuration,
+    ttl: StdDuration,
+) -> Option<StaleRule> {
+    if owner_gone {
+        Some(StaleRule::OwnerGone)
+    } else if age() >= ttl {
+        Some(StaleRule::Expired)
+    } else {
+        None
     }
-    match faults::lease_io().lease_age(path) {
-        Ok(age) => age >= ttl,
-        // The lease vanished (or mtime is unreadable) mid-check: let the
-        // atomic create/rename race below settle ownership.
-        Err(_) => true,
-    }
+}
+
+/// Is the lease at `path` stealable, and by which rule?  Age reads go
+/// through the lease-IO seam and clamp future mtimes to zero, so clock skew
+/// can only delay a TTL steal — a spurious steal (two workers running one
+/// shard) stays safe regardless, because records are deterministic and the
+/// merge dedupes by job key.  An unreadable age (the lease vanished
+/// mid-check) counts as expired: the atomic create/rename race in
+/// [`try_claim_shard`] settles ownership.
+fn file_lease_staleness(
+    path: &Path,
+    lease: Option<&ShardLease>,
+    ttl: StdDuration,
+) -> Option<StaleRule> {
+    lease_staleness(
+        lease.is_some_and(owner_verifiably_dead),
+        || {
+            faults::lease_io()
+                .lease_age(path)
+                .unwrap_or(StdDuration::MAX)
+        },
+        ttl,
+    )
 }
 
 /// Outcome of one claim attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ClaimOutcome {
-    /// This worker now holds the shard's lease.
+    /// This worker now holds the shard's lease (it was free).
     Claimed,
+    /// This worker took the shard's stale lease over, by this rule.
+    Stolen(StaleRule),
     /// The shard is already completed.
     Done,
     /// Another live worker holds a fresh lease.
@@ -579,12 +591,13 @@ fn try_claim_shard(
     let holder: Option<ShardLease> = fs::read_to_string(&lease_path)
         .ok()
         .and_then(|text| serde_json::from_str(&text).ok());
-    if lease_is_stale(&lease_path, holder.as_ref(), ttl) {
-        write_atomic(&lease_path, body.as_bytes(), false)?;
-        faults::note_event(RunEvent::LeaseStolen);
-        Ok(ClaimOutcome::Claimed)
-    } else {
-        Ok(ClaimOutcome::Busy)
+    match file_lease_staleness(&lease_path, holder.as_ref(), ttl) {
+        Some(rule) => {
+            write_atomic(&lease_path, body.as_bytes(), false)?;
+            faults::note_event(RunEvent::LeaseStolen);
+            Ok(ClaimOutcome::Stolen(rule))
+        }
+        None => Ok(ClaimOutcome::Busy),
     }
 }
 
@@ -726,7 +739,10 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerOutcome, DistribError> {
             {
                 break 'scan; // simulated death, for the kill/steal tests
             }
-            if try_claim_shard(&layout, shard, &me, cfg.lease_ttl)? != ClaimOutcome::Claimed {
+            if !matches!(
+                try_claim_shard(&layout, shard, &me, cfg.lease_ttl)?,
+                ClaimOutcome::Claimed | ClaimOutcome::Stolen(_)
+            ) {
                 continue;
             }
             progressed = true;
@@ -966,44 +982,27 @@ impl WorkerHandle {
     }
 }
 
-/// Where a spawned worker should attach.
-///
-/// The file-based protocol hands workers a shard **directory** on a shared
-/// filesystem; the socket protocol hands them a service **endpoint** and
-/// needs no shared filesystem at all.  Spawners declare which targets they
-/// understand by accepting or rejecting them in [`WorkerSpawner::spawn`],
-/// so a transport mismatch is a typed error, never a silent misread.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WorkerTarget {
-    /// A shard directory containing a grid manifest (file transport).
-    Dir(PathBuf),
-    /// A `caem-serve` daemon address such as `127.0.0.1:7171` (socket
-    /// transport; workers connect instead of scanning a directory).
-    Endpoint(String),
-}
-
-/// The worker transport: how a coordinator (or the service daemon) brings
-/// workers to a grid.  Implementations: [`ProcessSpawner`] (separate
-/// processes — file or socket attach), [`ThreadSpawner`] (in-process
-/// threads over the file protocol) and the in-memory loopback in
-/// [`crate::serve`] (socket protocol semantics with no sockets, for
-/// deterministic tests).
+/// How a coordinator brings workers to a shard directory.
+/// Implementations: [`ProcessSpawner`] (separate processes) and
+/// [`ThreadSpawner`] (in-process threads); both speak the same lock-file
+/// protocol.
 pub trait WorkerSpawner {
-    /// Launch worker `index` against `target`.  `thread_budget` is the
-    /// rayon thread share this worker should confine itself to (exported as
-    /// `RAYON_TOTAL_THREADS` for process workers; in-process workers share
-    /// the parent's budget, which already caps the total by construction).
+    /// Launch worker `index` against the shard directory `dir`.
+    /// `thread_budget` is the rayon thread share this worker should confine
+    /// itself to (exported as `RAYON_TOTAL_THREADS` for process workers;
+    /// in-process workers share the parent's budget, which already caps the
+    /// total by construction).
     fn spawn(
         &self,
-        target: &WorkerTarget,
+        dir: &Path,
         index: usize,
         thread_budget: usize,
     ) -> Result<WorkerHandle, DistribError>;
 }
 
 /// Spawn real worker **processes**: re-invokes a binary (normally
-/// `std::env::current_exe()`) with `--worker-shard <dir> --store
-/// <dir>/workers/worker_<index>.jsonl` appended to `base_args`, and
+/// `std::env::current_exe()`) with `--worker-shard DIR --store
+/// DIR/workers/worker_INDEX.jsonl` appended to `base_args`, and
 /// `RAYON_TOTAL_THREADS` set to the worker's thread share.
 #[derive(Debug, Clone)]
 pub struct ProcessSpawner {
@@ -1030,22 +1029,17 @@ impl ProcessSpawner {
 impl WorkerSpawner for ProcessSpawner {
     fn spawn(
         &self,
-        target: &WorkerTarget,
+        dir: &Path,
         index: usize,
         thread_budget: usize,
     ) -> Result<WorkerHandle, DistribError> {
-        let mut cmd = std::process::Command::new(&self.program);
-        cmd.args(&self.base_args);
-        match target {
-            WorkerTarget::Dir(dir) => {
-                let store = ShardLayout::new(dir).worker_store_path(&format!("{index:03}"));
-                cmd.arg("--worker-shard").arg(dir).arg("--store").arg(store);
-            }
-            WorkerTarget::Endpoint(addr) => {
-                cmd.arg("--connect").arg(addr);
-            }
-        }
-        let child = cmd
+        let store = ShardLayout::new(dir).worker_store_path(&format!("{index:03}"));
+        let child = std::process::Command::new(&self.program)
+            .args(&self.base_args)
+            .arg("--worker-shard")
+            .arg(dir)
+            .arg("--store")
+            .arg(store)
             .env("RAYON_TOTAL_THREADS", thread_budget.to_string())
             .envs(self.envs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
             .spawn()?;
@@ -1081,22 +1075,13 @@ impl Default for ThreadSpawner {
 impl WorkerSpawner for ThreadSpawner {
     fn spawn(
         &self,
-        target: &WorkerTarget,
+        dir: &Path,
         index: usize,
         _thread_budget: usize,
     ) -> Result<WorkerHandle, DistribError> {
-        let dir = match target {
-            WorkerTarget::Dir(dir) => dir.clone(),
-            WorkerTarget::Endpoint(addr) => {
-                return Err(DistribError::Format(format!(
-                    "thread workers attach to shard directories, not endpoint {addr} \
-                     (use the serve loopback transport for in-process socket workers)"
-                )))
-            }
-        };
         let mut cfg = WorkerConfig::new(
-            dir.clone(),
-            ShardLayout::new(&dir).worker_store_path(&format!("{index:03}")),
+            dir,
+            ShardLayout::new(dir).worker_store_path(&format!("{index:03}")),
             format!("thread_{index:03}"),
         );
         cfg.lease_ttl = self.lease_ttl;
@@ -1155,26 +1140,19 @@ pub struct GridOutcome {
     pub failures: Vec<JobFailure>,
 }
 
-/// Collect every record in the given stores that belongs to `manifest`
-/// (matching key, config hash and scenario label).  Records from other
-/// grids, stale configurations or renamed scenarios are counted and skipped
-/// with a warning — they cannot silently contaminate a merged report.
+/// Collect everything the given stores settled for `manifest`: every
+/// record that belongs to the grid (matching key, config hash and scenario
+/// label) plus the standing quarantines (valid failure records whose job
+/// has no valid success record in any store), deduplicated per key and
+/// sorted canonically so downstream report sections are deterministic.
+/// Records from other grids, stale configurations or renamed scenarios are
+/// counted and skipped with a warning — they cannot silently contaminate a
+/// merged report.
 ///
-/// The result is deliberately **order-insensitive** downstream: records are
-/// deterministic per job, so however the stores are ordered (and however
-/// many duplicates worker kills and steals produced), the deduplicated
-/// canonical aggregation is identical.
-pub fn collect_grid_records(
-    manifest: &GridManifest,
-    store_paths: &[PathBuf],
-) -> Result<Vec<JobRecord>, DistribError> {
-    Ok(collect_grid_outcome(manifest, store_paths)?.records)
-}
-
-/// The failure-aware form of [`collect_grid_records`]: also gathers the
-/// grid's standing quarantines (valid failure records whose job has no
-/// valid success record in any store), deduplicated per key and sorted
-/// canonically so downstream report sections are deterministic.
+/// The records are deliberately **order-insensitive** downstream: records
+/// are deterministic per job, so however the stores are ordered (and
+/// however many duplicates worker kills and steals produced), the
+/// deduplicated canonical aggregation is identical.
 pub fn collect_grid_outcome(
     manifest: &GridManifest,
     store_paths: &[PathBuf],
@@ -1279,17 +1257,6 @@ impl ExperimentSpec {
         Ok(report)
     }
 
-    /// The success records of [`ExperimentSpec::run_distributed_outcome`]
-    /// (kept for callers that only aggregate; quarantines are dropped).
-    pub fn run_distributed_records<S: WorkerSpawner>(
-        &self,
-        dir: &Path,
-        opts: &DistribOptions,
-        spawner: &S,
-    ) -> Result<Vec<JobRecord>, DistribError> {
-        Ok(self.run_distributed_outcome(dir, opts, spawner)?.records)
-    }
-
     /// The record-level body of [`ExperimentSpec::run_distributed`]:
     /// prepare the manifest, spawn and join workers, finish leftover shards
     /// inline, and return every settled job of the grid — success records
@@ -1334,9 +1301,8 @@ impl ExperimentSpec {
         };
 
         let budget = rayon::split_thread_budget(opts.workers);
-        let target = WorkerTarget::Dir(dir.to_path_buf());
         let handles: Vec<WorkerHandle> = (0..opts.workers)
-            .map(|i| spawner.spawn(&target, i, budget))
+            .map(|i| spawner.spawn(dir, i, budget))
             .collect::<Result<_, _>>()?;
         for handle in handles {
             if let Err(why) = handle.join() {
@@ -1412,61 +1378,32 @@ pub fn run_sequential_distributed<S: WorkerSpawner>(
     spawner: &S,
     stop: &SequentialStopping,
 ) -> Result<SequentialOutcome, DistribError> {
-    stop.validate()
-        .unwrap_or_else(|e| panic!("invalid sequential-stopping configuration: {e}"));
-    assert!(
-        !spec.seeds.is_empty(),
-        "sequential stopping needs a non-empty initial seed batch"
-    );
-    assert!(
-        stop.max_replicates >= spec.seeds.len(),
-        "replicate cap {} is below the initial batch of {} seeds — the cap could never be honoured",
-        stop.max_replicates,
-        spec.seeds.len()
-    );
-    if opts.fresh && dir.exists() {
-        fs::remove_dir_all(dir)?;
-    }
     let round_opts = DistribOptions {
         fresh: false,
         ..opts.clone()
     };
-    let mut seeds = spec.seeds.clone();
-    let mut batch_start = 0usize;
-    let mut all_records: Vec<JobRecord> = Vec::new();
-    let mut all_failures: Vec<JobFailure> = Vec::new();
-    let mut rounds = Vec::new();
-    loop {
-        let batch = ExperimentSpec {
-            scenarios: spec.scenarios.clone(),
-            policies: spec.policies.clone(),
-            seeds: seeds[batch_start..].to_vec(),
-        };
-        let round_dir = dir.join(format!("round_{:03}", rounds.len()));
-        let outcome = batch.run_distributed_outcome(&round_dir, &round_opts, spawner)?;
-        all_records.extend(outcome.records);
-        all_failures.extend(outcome.failures);
-        let mut report = ExperimentReport::from_records(all_records.iter().cloned());
-        report.seeds = seeds.clone();
-        report.failures = all_failures.clone();
-        let worst_half_width = worst_ci_half_width(&report, &stop.metric);
-        rounds.push(SequentialRound {
-            replicates: seeds.len(),
-            worst_half_width,
-        });
-        let converged = worst_half_width <= stop.target_half_width;
-        if converged || seeds.len() >= stop.max_replicates {
-            return Ok(SequentialOutcome {
-                report,
-                rounds,
-                converged,
-            });
+    let mut round = 0usize;
+    let mut records: Vec<JobRecord> = Vec::new();
+    let mut failures: Vec<JobFailure> = Vec::new();
+    spec.sequential_rounds(stop, |grid, first_new| {
+        if round == 0 && opts.fresh && dir.exists() {
+            fs::remove_dir_all(dir)?;
         }
-        batch_start = seeds.len();
-        let next = seeds.iter().copied().max().expect("non-empty seeds") + 1;
-        let add = stop.batch.min(stop.max_replicates - seeds.len()) as u64;
-        seeds.extend((0..add).map(|i| next + i));
-    }
+        let batch = ExperimentSpec {
+            scenarios: grid.scenarios.clone(),
+            policies: grid.policies.clone(),
+            seeds: grid.seeds[first_new..].to_vec(),
+        };
+        let round_dir = dir.join(format!("round_{round:03}"));
+        let outcome = batch.run_distributed_outcome(&round_dir, &round_opts, spawner)?;
+        round += 1;
+        records.extend(outcome.records);
+        failures.extend(outcome.failures);
+        let mut report = ExperimentReport::from_records(records.iter().cloned());
+        report.seeds = grid.seeds.clone();
+        report.failures = failures.clone();
+        Ok(report)
+    })
 }
 
 #[cfg(test)]
@@ -1634,7 +1571,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             try_claim_shard(&layout, 0, &me, StdDuration::from_secs(3600)).unwrap(),
-            ClaimOutcome::Claimed,
+            ClaimOutcome::Stolen(StaleRule::OwnerGone),
             "dead-pid lease must be stolen despite a fresh mtime"
         );
         // A live-pid lease is only stolen after its TTL expires.
@@ -1651,7 +1588,7 @@ mod tests {
         std::thread::sleep(StdDuration::from_millis(30));
         assert_eq!(
             try_claim_shard(&layout, 1, &me, StdDuration::from_millis(10)).unwrap(),
-            ClaimOutcome::Claimed,
+            ClaimOutcome::Stolen(StaleRule::Expired),
             "an expired lease is stolen"
         );
         fs::remove_dir_all(&dir).ok();
@@ -1673,13 +1610,14 @@ mod tests {
             layout.create_dirs().unwrap();
             fs::write(layout.lease_path(0), text).unwrap();
             let long_ttl = StdDuration::from_secs(3600);
-            assert!(
-                lease_is_stale(&layout.lease_path(0), Some(&legacy), long_ttl),
+            assert_eq!(
+                file_lease_staleness(&layout.lease_path(0), Some(&legacy), long_ttl),
+                Some(StaleRule::OwnerGone),
                 "a freshly written lease of a dead owner is stale without the TTL"
             );
             assert_eq!(
                 try_claim_shard(&layout, 0, &ShardLease::current("heir"), long_ttl).unwrap(),
-                ClaimOutcome::Claimed
+                ClaimOutcome::Stolen(StaleRule::OwnerGone)
             );
             fs::remove_dir_all(&dir).ok();
         }
@@ -1692,6 +1630,22 @@ mod tests {
         assert!(
             err.to_string().contains("missing field `pid`"),
             "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn staleness_rule_fires_at_the_ttl_and_owner_loss_wins() {
+        let ttl = StdDuration::from_secs(10);
+        let just_under = || ttl - StdDuration::from_millis(1);
+        assert_eq!(lease_staleness(false, just_under, ttl), None);
+        assert_eq!(
+            lease_staleness(false, || ttl, ttl),
+            Some(StaleRule::Expired),
+            "an age of exactly one TTL is expired"
+        );
+        assert_eq!(
+            lease_staleness(true, || panic!("age is not read"), ttl),
+            Some(StaleRule::OwnerGone)
         );
     }
 

@@ -270,6 +270,24 @@ impl ExperimentSpec {
         store: &mut ExperimentStore,
         stop: &SequentialStopping,
     ) -> SequentialOutcome {
+        self.sequential_rounds(stop, |spec, _| {
+            Ok::<_, std::convert::Infallible>(spec.run_with_store(store))
+        })
+        .unwrap_or_else(|never| match never {})
+    }
+
+    /// The sequential-stopping loop behind [`ExperimentSpec::run_sequential`]
+    /// and [`crate::distrib::run_sequential_distributed`]: check the rule,
+    /// then call `round` with the grid grown so far and the index of its
+    /// first seed not yet run, and grow the seed list by `stop.batch`
+    /// consecutive seeds until the worst cell's CI half-width meets the
+    /// target or the replicate cap is reached.  `round` returns the report
+    /// over every seed of the grid it is given.
+    pub(crate) fn sequential_rounds<E>(
+        &self,
+        stop: &SequentialStopping,
+        mut round: impl FnMut(&ExperimentSpec, usize) -> Result<ExperimentReport, E>,
+    ) -> Result<SequentialOutcome, E> {
         stop.validate()
             .unwrap_or_else(|e| panic!("invalid sequential-stopping configuration: {e}"));
         assert!(
@@ -283,9 +301,10 @@ impl ExperimentSpec {
             self.seeds.len()
         );
         let mut spec = self.clone();
+        let mut first_new = 0;
         let mut rounds = Vec::new();
         loop {
-            let report = spec.run_with_store(store);
+            let report = round(&spec, first_new)?;
             let worst_half_width = worst_ci_half_width(&report, &stop.metric);
             rounds.push(SequentialRound {
                 replicates: spec.seeds.len(),
@@ -293,12 +312,13 @@ impl ExperimentSpec {
             });
             let converged = worst_half_width <= stop.target_half_width;
             if converged || spec.seeds.len() >= stop.max_replicates {
-                return SequentialOutcome {
+                return Ok(SequentialOutcome {
                     report,
                     rounds,
                     converged,
-                };
+                });
             }
+            first_new = spec.seeds.len();
             let next = spec.seeds.iter().copied().max().expect("non-empty seeds") + 1;
             let add = stop.batch.min(stop.max_replicates - spec.seeds.len()) as u64;
             spec.seeds.extend((0..add).map(|i| next + i));
@@ -310,7 +330,7 @@ impl ExperimentSpec {
 /// the quantity sequential stopping drives to its target.  A cell with
 /// fewer than two usable replicates carries no dispersion information and
 /// reads as infinite, so convergence is never declared on it.
-pub(crate) fn worst_ci_half_width(report: &ExperimentReport, metric: &str) -> f64 {
+fn worst_ci_half_width(report: &ExperimentReport, metric: &str) -> f64 {
     report
         .cells
         .iter()

@@ -74,7 +74,7 @@ pub use config::{
 pub use distrib::{
     merge_grid_report, merge_outcome, request_shutdown, reset_shutdown, run_sequential_distributed,
     run_worker, shutdown_requested, DistribError, DistribOptions, GridManifest, ProcessSpawner,
-    ShardLayout, ThreadSpawner, WorkerConfig, WorkerSpawner, WorkerTarget,
+    ShardLayout, ThreadSpawner, WorkerConfig, WorkerSpawner,
 };
 pub use experiment::{
     run_configs, ExperimentCell, ExperimentJob, ExperimentReport, ExperimentSpec, ScenarioSpec,

@@ -558,8 +558,7 @@ impl ExperimentStore {
     /// [`RecordSink`] that workers use by reference.  Each worker encodes
     /// its own line, then writes it under the sink's lock through the usual
     /// IO seam.  Records written through the sink are **not** indexed in
-    /// memory; the caller indexes them afterwards with
-    /// [`ExperimentStore::note_record`].
+    /// memory; the caller indexes them afterwards (`note_record`).
     ///
     /// Returns `f`'s result, or the first fatal IO error an append hit
     /// (every append after it is dropped — the grid re-runs those jobs on

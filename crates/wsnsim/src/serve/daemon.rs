@@ -4,11 +4,11 @@
 //! The daemon is transport-agnostic — one [`serve_connection`] loop per
 //! connected peer (worker or client), all sharing a [`ServiceState`]
 //! behind a mutex.  Shard leasing mirrors the lock-file protocol of
-//! [`crate::distrib`]: a granted shard is leased to one connection,
-//! heartbeats refresh the lease, a lease whose heartbeat is older than the
-//! TTL is evicted at the next claim (noting
-//! [`RunEvent::WorkerEvicted`] and [`RunEvent::LeaseStolen`]), and a
-//! connection that drops releases its leases immediately (noting
+//! [`crate::distrib`] and judges staleness by the same rule: a granted
+//! shard is leased to one connection, heartbeats refresh the lease, a
+//! lease whose heartbeat is at least one TTL old is evicted at the next
+//! claim (noting [`RunEvent::WorkerEvicted`] and [`RunEvent::LeaseStolen`]),
+//! and a connection that drops releases its leases immediately (noting
 //! [`RunEvent::WorkerAbnormalExit`]).  Completed grids are finalized
 //! through the exact pipeline of
 //! [`crate::distrib` `run_distributed`](crate::experiment::ExperimentSpec::run_distributed)
@@ -21,7 +21,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::distrib::{
-    merge_outcome, GridManifest, ManifestJob, DEFAULT_HEARTBEAT, DEFAULT_LEASE_TTL,
+    lease_staleness, merge_outcome, GridManifest, ManifestJob, StaleRule, DEFAULT_HEARTBEAT,
+    DEFAULT_LEASE_TTL,
 };
 use crate::experiment::ExperimentReport;
 use crate::faults::{self, RunEvent};
@@ -61,10 +62,15 @@ impl Default for ServiceConfig {
     }
 }
 
-/// A lease on one shard of the active grid.
-struct Lease {
-    conn: u64,
-    last_beat: Instant,
+/// Where one shard of the active grid stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ShardState {
+    /// Grantable.
+    Open,
+    /// Granted to connection `conn`, last heard from at `beat`.
+    Leased { conn: u64, beat: Instant },
+    /// Every job settled and the shard reconciled.
+    Done,
 }
 
 /// A completed grid retained for `fetch`.
@@ -72,7 +78,7 @@ struct CompletedGrid {
     report: String,
 }
 
-/// A submitted grid: its manifest, absorbed results and lease table.
+/// A submitted grid: its manifest, absorbed results and shard states.
 /// The queue's front entry is the one being worked.
 struct ActiveGrid {
     name: String,
@@ -84,8 +90,7 @@ struct ActiveGrid {
     /// Keys with a decoded success or quarantine line.
     settled: HashSet<JobKey>,
     quarantined: u64,
-    shard_done: Vec<bool>,
-    leases: HashMap<usize, Lease>,
+    shards: Vec<ShardState>,
     /// Decoded-line count per (connection, shard) — the receiver side of
     /// the [`Message::ShardDone`] reconciliation.
     received: HashMap<(u64, usize), u64>,
@@ -100,10 +105,46 @@ impl ActiveGrid {
             jobs: self.manifest.jobs.len() as u64,
             settled: self.settled.len() as u64,
             quarantined: self.quarantined,
-            shards_done: self.shard_done.iter().filter(|d| **d).count() as u64,
+            shards_done: self
+                .shards
+                .iter()
+                .filter(|s| **s == ShardState::Done)
+                .count() as u64,
             shard_count: self.manifest.shard_count as u64,
         }
     }
+
+    /// Refresh the lease on `shard` if `conn` holds it.
+    fn beat(&mut self, conn: u64, shard: usize, now: Instant) {
+        if let Some(ShardState::Leased { conn: holder, beat }) = self.shards.get_mut(shard) {
+            if *holder == conn {
+                *beat = now;
+            }
+        }
+    }
+
+    /// Reopen `shard` if `conn` holds its lease; true when it did.
+    fn release(&mut self, conn: u64, shard: usize) -> bool {
+        match self.shards.get(shard) {
+            Some(ShardState::Leased { conn: holder, .. }) if *holder == conn => {
+                self.shards[shard] = ShardState::Open;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn all_done(&self) -> bool {
+        self.shards.iter().all(|s| *s == ShardState::Done)
+    }
+}
+
+/// Note the events of taking a lease away from its holder by `rule`.
+fn note_steal(rule: StaleRule) {
+    if rule == StaleRule::Expired {
+        faults::note_event(RunEvent::WorkerEvicted);
+    }
+    faults::note_event(RunEvent::LeaseStolen);
 }
 
 /// Shared state of one daemon process.
@@ -142,16 +183,6 @@ impl ServiceState {
         Arc::new(Mutex::new(ServiceState::new(cfg)))
     }
 
-    /// Grids finished so far (tests and the daemon's idle logging).
-    pub fn completed_count(&self) -> usize {
-        self.completed.len()
-    }
-
-    /// Grids submitted and not yet finished.
-    pub fn pending_count(&self) -> usize {
-        self.queue.len()
-    }
-
     fn allocate_conn(&mut self) -> u64 {
         self.next_conn += 1;
         self.next_conn
@@ -169,7 +200,7 @@ impl ServiceState {
         }
     }
 
-    fn handle(&mut self, conn: u64, msg: Message) -> Reply {
+    fn handle(&mut self, conn: u64, msg: Message, now: Instant) -> Reply {
         match msg {
             Message::Hello {
                 seq,
@@ -214,19 +245,15 @@ impl ServiceState {
                     lease_ttl_ms: lease_ttl.as_millis() as u64,
                 })
             }
-            Message::Claim { seq } => Reply::Send(self.claim(conn, seq)),
+            Message::Claim { seq } => Reply::Send(self.claim(conn, seq, now)),
             Message::Records { grid, shard, lines } => {
-                self.absorb(conn, grid, shard as usize, lines);
+                self.absorb(conn, grid, shard as usize, lines, now);
                 Reply::None
             }
             Message::Heartbeat { grid, shard } => {
                 if let Some(active) = self.queue.front_mut() {
                     if active.manifest.grid_hash == grid {
-                        if let Some(lease) = active.leases.get_mut(&(shard as usize)) {
-                            if lease.conn == conn {
-                                lease.last_beat = Instant::now();
-                            }
-                        }
+                        active.beat(conn, shard as usize, now);
                     }
                 }
                 Reply::None
@@ -240,10 +267,7 @@ impl ServiceState {
             Message::Release { seq, grid, shard } => {
                 if let Some(active) = self.queue.front_mut() {
                     if active.manifest.grid_hash == grid {
-                        let shard = shard as usize;
-                        if active.leases.get(&shard).is_some_and(|l| l.conn == conn) {
-                            active.leases.remove(&shard);
-                        }
+                        active.release(conn, shard as usize);
                     }
                 }
                 Reply::Send(Message::ReleaseAck { seq })
@@ -308,7 +332,7 @@ impl ServiceState {
         let name = parsed.name.clone().unwrap_or_else(|| "grid".to_string());
         let grid_hash = manifest.grid_hash;
         let job_keys = manifest.jobs.iter().map(ManifestJob::key).collect();
-        let shard_count = manifest.shard_count;
+        let shards = vec![ShardState::Open; manifest.shard_count];
         self.queue.push_back(ActiveGrid {
             name: name.clone(),
             manifest,
@@ -317,8 +341,7 @@ impl ServiceState {
             failures: Vec::new(),
             settled: HashSet::new(),
             quarantined: 0,
-            shard_done: vec![false; shard_count],
-            leases: HashMap::new(),
+            shards,
             received: HashMap::new(),
             lease_ttl: self.cfg.lease_ttl.unwrap_or(resolved.distrib.lease_ttl),
             heartbeat: self.cfg.heartbeat.unwrap_or(resolved.distrib.heartbeat),
@@ -331,7 +354,7 @@ impl ServiceState {
         }
     }
 
-    fn claim(&mut self, conn: u64, seq: u64) -> Message {
+    fn claim(&mut self, conn: u64, seq: u64, now: Instant) -> Message {
         loop {
             let Some(grid) = self.queue.front_mut() else {
                 return Message::NoWork {
@@ -339,22 +362,21 @@ impl ServiceState {
                     retry_ms: NO_WORK_RETRY_MS,
                 };
             };
-            // Evict leases whose worker has gone silent past the TTL so a
-            // hung (but still connected) worker can't wedge the grid.
-            let ttl = grid.lease_ttl;
-            let stale: Vec<usize> = grid
-                .leases
-                .iter()
-                .filter(|(_, lease)| lease.last_beat.elapsed() > ttl)
-                .map(|(shard, _)| *shard)
-                .collect();
-            for shard in stale {
-                grid.leases.remove(&shard);
-                faults::note_event(RunEvent::WorkerEvicted);
-                faults::note_event(RunEvent::LeaseStolen);
+            // Evict leases whose worker has gone silent for a TTL so a
+            // hung (but still connected) worker can't wedge the grid.  A
+            // connected holder is never gone; a dropped one already
+            // released its leases.
+            for state in &mut grid.shards {
+                if let ShardState::Leased { beat, .. } = *state {
+                    let age = || now.saturating_duration_since(beat);
+                    if let Some(rule) = lease_staleness(false, age, grid.lease_ttl) {
+                        *state = ShardState::Open;
+                        note_steal(rule);
+                    }
+                }
             }
             for shard in 0..grid.manifest.shard_count {
-                if grid.shard_done[shard] || grid.leases.contains_key(&shard) {
+                if grid.shards[shard] != ShardState::Open {
                     continue;
                 }
                 let pending = ShardGrant::new(
@@ -366,16 +388,10 @@ impl ServiceState {
                 if pending.jobs().is_empty() {
                     // Every job already settled (a dead worker streamed its
                     // lines before dropping): nothing left to re-run.
-                    grid.shard_done[shard] = true;
+                    grid.shards[shard] = ShardState::Done;
                     continue;
                 }
-                grid.leases.insert(
-                    shard,
-                    Lease {
-                        conn,
-                        last_beat: Instant::now(),
-                    },
-                );
+                grid.shards[shard] = ShardState::Leased { conn, beat: now };
                 return Message::Grant {
                     seq,
                     grid: grid.manifest.grid_hash,
@@ -383,7 +399,7 @@ impl ServiceState {
                     grant: pending,
                 };
             }
-            if grid.shard_done.iter().all(|done| *done) {
+            if grid.all_done() {
                 // The auto-marking above may have completed the grid; try
                 // to finalize and claim from the next one.
                 self.try_finish_active();
@@ -396,7 +412,14 @@ impl ServiceState {
         }
     }
 
-    fn absorb(&mut self, conn: u64, grid_hash: u64, shard: usize, lines: Vec<String>) {
+    fn absorb(
+        &mut self,
+        conn: u64,
+        grid_hash: u64,
+        shard: usize,
+        lines: Vec<String>,
+        now: Instant,
+    ) {
         let Some(grid) = self.queue.front_mut() else {
             return;
         };
@@ -405,11 +428,7 @@ impl ServiceState {
             return;
         }
         // A streaming worker is alive by definition.
-        if let Some(lease) = grid.leases.get_mut(&shard) {
-            if lease.conn == conn {
-                lease.last_beat = Instant::now();
-            }
-        }
+        grid.beat(conn, shard, now);
         let count = grid.received.entry((conn, shard)).or_insert(0);
         for line in lines {
             match decode_line(&line) {
@@ -463,11 +482,10 @@ impl ServiceState {
             faults::note_event(RunEvent::FrameRetried);
             return Message::DoneNack { seq, received };
         }
-        if shard < grid.shard_done.len() {
-            grid.shard_done[shard] = true;
+        if shard < grid.shards.len() {
+            grid.shards[shard] = ShardState::Done;
         }
-        grid.leases.remove(&shard);
-        if grid.shard_done.iter().all(|done| *done) {
+        if grid.all_done() {
             self.try_finish_active();
         }
         Message::DoneAck { seq }
@@ -489,7 +507,7 @@ impl ServiceState {
             .collect();
         if !open_shards.is_empty() {
             for shard in open_shards {
-                grid.shard_done[shard] = false;
+                grid.shards[shard] = ShardState::Open;
             }
             return;
         }
@@ -508,17 +526,16 @@ impl ServiceState {
     fn drop_connection(&mut self, conn: u64) {
         self.workers.remove(&conn);
         if let Some(grid) = self.queue.front_mut() {
-            let held: Vec<usize> = grid
-                .leases
-                .iter()
-                .filter(|(_, lease)| lease.conn == conn)
-                .map(|(shard, _)| *shard)
-                .collect();
-            if !held.is_empty() {
+            let mut released = 0;
+            for shard in 0..grid.shards.len() {
+                if grid.release(conn, shard) {
+                    released += 1;
+                }
+            }
+            if released > 0 {
                 faults::note_event(RunEvent::WorkerAbnormalExit);
-                for shard in held {
-                    grid.leases.remove(&shard);
-                    faults::note_event(RunEvent::LeaseStolen);
+                for _ in 0..released {
+                    note_steal(StaleRule::OwnerGone);
                 }
             }
         }
@@ -558,7 +575,10 @@ pub fn serve_connection(link: &mut dyn FrameLink, state: &Arc<Mutex<ServiceState
                 }
             }
         }
-        let reply = state.lock().expect("service lock").handle(conn, msg);
+        let reply = state
+            .lock()
+            .expect("service lock")
+            .handle(conn, msg, Instant::now());
         match reply {
             Reply::None => {}
             Reply::Send(response) => {
@@ -577,4 +597,84 @@ pub fn serve_connection(link: &mut dyn FrameLink, state: &Arc<Mutex<ServiceState
         }
     }
     state.lock().expect("service lock").drop_connection(conn);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One scenario, three policies, one seed: a three-job grid.
+    const SPEC: &str = r#"{
+      "caem_grid_spec": 1,
+      "name": "ttl",
+      "replicates": 1,
+      "duration_s": 1.0,
+      "node_count": 4,
+      "scenarios": [ { "label": "uniform", "rate_pps": 1.0 } ]
+    }"#;
+
+    /// Claim for `conn` at `now`: the granted shard, or `None` on no-work.
+    fn claim(state: &mut ServiceState, conn: u64, now: Instant) -> Option<u64> {
+        match state.handle(conn, Message::Claim { seq: 1 }, now) {
+            Reply::Send(Message::Grant { shard, .. }) => Some(shard),
+            Reply::Send(Message::NoWork { .. }) => None,
+            _ => panic!("a claim is answered with a grant or no-work"),
+        }
+    }
+
+    fn holder(state: &ServiceState) -> ShardState {
+        state.queue.front().expect("active grid").shards[0]
+    }
+
+    #[test]
+    fn silent_leases_expire_at_the_ttl_and_heartbeats_defer_it() {
+        let ttl = Duration::from_secs(60);
+        let ms = Duration::from_millis(1);
+        let mut state = ServiceState::new(ServiceConfig {
+            shards_per_grid: 1,
+            lease_ttl: Some(ttl),
+            heartbeat: None,
+        });
+        let t0 = Instant::now();
+        let submit = Message::Submit {
+            seq: 1,
+            spec: SPEC.to_string(),
+            quick: true,
+            seed: 7,
+        };
+        assert!(matches!(
+            state.handle(9, submit, t0),
+            Reply::Send(Message::SubmitAck { .. })
+        ));
+        let grid = state.queue.front().expect("submitted").manifest.grid_hash;
+
+        assert_eq!(claim(&mut state, 1, t0), Some(0));
+        assert_eq!(
+            claim(&mut state, 2, t0 + ttl - ms),
+            None,
+            "a lease one millisecond short of its TTL is honoured"
+        );
+        // Only the `Expired` rule evicts a worker; a lost owner does not.
+        let evicted = faults::event_count(RunEvent::WorkerEvicted);
+        let t1 = t0 + ttl;
+        assert_eq!(
+            claim(&mut state, 2, t1),
+            Some(0),
+            "a lease exactly one TTL old is taken over"
+        );
+        assert_eq!(faults::event_count(RunEvent::WorkerEvicted), evicted + 1);
+        assert_eq!(holder(&state), ShardState::Leased { conn: 2, beat: t1 });
+
+        // A heartbeat half-way through the new lease moves its expiry.
+        let beat = Message::Heartbeat { grid, shard: 0 };
+        assert!(matches!(state.handle(2, beat, t1 + ttl / 2), Reply::None));
+        assert_eq!(
+            claim(&mut state, 1, t1 + ttl),
+            None,
+            "the heartbeat kept the lease alive past its first expiry"
+        );
+        assert_eq!(claim(&mut state, 1, t1 + ttl / 2 + ttl - ms), None);
+        assert_eq!(claim(&mut state, 1, t1 + ttl / 2 + ttl), Some(0));
+        assert_eq!(faults::event_count(RunEvent::WorkerEvicted), evicted + 2);
+    }
 }

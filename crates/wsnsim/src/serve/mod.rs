@@ -47,13 +47,12 @@ pub use worker::{run_socket_worker, SocketWorkerOptions, WorkerExit};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::distrib::{DistribError, WorkerHandle, WorkerSpawner, WorkerTarget};
+use crate::distrib::{DistribError, WorkerHandle};
 
-/// Spawn in-process socket workers wired to an in-process daemon over
+/// Start in-process socket workers wired to an in-process daemon over
 /// loopback links — the service counterpart of
-/// [`crate::distrib::ThreadSpawner`].  Each spawn starts a daemon
-/// connection thread and a worker thread joined by a [`loopback_pair`];
-/// no listener, no sockets, fully deterministic.
+/// [`crate::distrib::ThreadSpawner`]: no listener, no sockets, fully
+/// deterministic.
 pub struct LoopbackSpawner {
     state: Arc<Mutex<ServiceState>>,
     stop: Arc<AtomicBool>,
@@ -76,43 +75,21 @@ impl LoopbackSpawner {
         client
     }
 
-    /// The stop flag shared by every worker this spawner started.
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        self.stop.clone()
-    }
-
     /// Ask every spawned worker to exit gracefully: finish or release the
     /// shard in hand, then hang up.
     pub fn stop_workers(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }
-}
 
-impl WorkerSpawner for LoopbackSpawner {
-    fn spawn(
-        &self,
-        target: &WorkerTarget,
-        index: usize,
-        _thread_budget: usize,
-    ) -> Result<WorkerHandle, DistribError> {
-        match target {
-            WorkerTarget::Endpoint(_) => {}
-            WorkerTarget::Dir(dir) => {
-                return Err(DistribError::Format(format!(
-                    "LoopbackSpawner serves endpoints, not shard directories \
-                     (got {}); use ThreadSpawner for the file transport",
-                    dir.display()
-                )));
-            }
-        }
-        let (worker_link, mut served) = loopback_pair();
+    /// Start socket worker `index`: a daemon connection thread and a worker
+    /// thread joined by a [`loopback_pair`].
+    pub fn spawn_worker(&self, index: usize) -> WorkerHandle {
+        let (mut link, mut served) = loopback_pair();
         let state = self.state.clone();
         std::thread::spawn(move || serve_connection(&mut served, &state));
-        let stop = self.stop.clone();
-        let handle = std::thread::spawn(move || {
-            let mut link = worker_link;
-            let mut opts = SocketWorkerOptions::new(format!("loopback_{index:03}"));
-            opts.stop = stop;
+        let mut opts = SocketWorkerOptions::new(format!("loopback_{index:03}"));
+        opts.stop = self.stop.clone();
+        WorkerHandle::from_thread(std::thread::spawn(move || {
             match run_socket_worker(&mut link, &opts) {
                 Ok(WorkerExit::Finished(outcome)) => Ok(outcome),
                 Ok(WorkerExit::Rejected(reason)) => Err(DistribError::Format(format!(
@@ -122,7 +99,6 @@ impl WorkerSpawner for LoopbackSpawner {
                     "worker {index} transport failure: {e}"
                 ))),
             }
-        });
-        Ok(WorkerHandle::from_thread(handle))
+        }))
     }
 }

@@ -39,8 +39,13 @@ pub struct TcpLink {
 }
 
 impl TcpLink {
-    /// Wrap a connected stream.
+    /// Wrap a connected stream.  Nagle's algorithm is switched off: every
+    /// frame goes out in one write, and a streamed `records` frame followed
+    /// by a small request would otherwise wait out the peer's delayed ACK.
     pub fn new(stream: TcpStream) -> Self {
+        // Best-effort: a socket that refuses the option still works, only
+        // with more latency.
+        let _ = stream.set_nodelay(true);
         TcpLink {
             stream,
             buffer: Vec::new(),

@@ -4,13 +4,13 @@
 //! A socket worker needs no shared filesystem: it receives each granted
 //! shard's jobs inline with the grant — each scenario's config once, the
 //! jobs as coordinates — rebuilds them, runs them through the same
-//! [`run_job_guarded`] retry/quarantine path as a file worker, and streams
-//! the resulting store lines back in [`Message::Records`] batches coalesced
-//! up to 64 KiB.  While the shard's rayon fan-out is running, the
-//! connection thread keeps the lease alive with [`Message::Heartbeat`]
-//! frames.  Shard completion is reconciled by count:
-//! if the daemon decoded fewer lines than the worker sent (frames lost to
-//! faults), the worker resends every retained line and asks again.
+//! retry/quarantine path as a file worker, and streams each job's store
+//! line back as the job settles, in [`Message::Records`] batches coalesced
+//! up to 64 KiB and flushed at least once per heartbeat.  A Records frame
+//! keeps the lease alive; a heartbeat tick with nothing to flush sends a
+//! bare [`Message::Heartbeat`] instead.  Shard completion is reconciled by
+//! count: if the daemon decoded fewer lines than the worker sent (frames
+//! lost to faults), the worker resends every retained line and asks again.
 //!
 //! **Graceful shutdown** mirrors the file worker: once the worker's stop
 //! flag (or the process-wide [`shutdown_requested`]) is raised, unstarted
@@ -20,14 +20,13 @@
 //! clean exit, so draining a fleet is as simple as stopping the daemon.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
 use crate::distrib::{run_job_guarded, shutdown_requested, ManifestJob, WorkerOutcome};
-use crate::persist::{encode_failure_line, encode_line, JobFailure, JobRecord};
+use crate::persist::{encode_failure_line, encode_line};
 
 use super::proto::{Message, ProtoError, PROTOCOL_VERSION};
 use super::transport::{request, FrameLink};
@@ -182,8 +181,22 @@ pub fn run_socket_worker(
     }
 }
 
-/// Run one granted shard: rayon fan-out in a scoped thread, with this
-/// thread streaming coalesced record batches and heartbeats over the link.
+/// Lines the shard's fan-out has settled and the link thread has not sent.
+#[derive(Default)]
+struct Outbox {
+    batch: Vec<String>,
+    bytes: usize,
+    /// The fan-out has ended; nothing more will arrive.
+    finished: bool,
+}
+
+/// Run one granted shard: rayon fan-out in a scoped thread, each job
+/// putting its encoded line in the outbox the moment it settles.  This
+/// thread owns the link: it sends the outbox as a [`Message::Records`]
+/// frame once it holds [`GATHER_BYTES`], and on every heartbeat tick — a
+/// Records frame is a beat — or a bare [`Message::Heartbeat`] when the
+/// outbox is empty.  Jobs wake this thread only when a frame fills, not
+/// once per line.
 fn run_shard(
     link: &mut dyn FrameLink,
     opts: &SocketWorkerOptions,
@@ -192,84 +205,77 @@ fn run_shard(
     jobs: &[ManifestJob],
     heartbeat: Duration,
 ) -> Result<ShardRun, ProtoError> {
-    let (line_tx, line_rx) = mpsc::channel::<String>();
-    let stop = opts.stop.clone();
-    let attempts = opts.job_attempts;
-    let budget = opts.job_wall_budget;
+    let outbox = Mutex::new(Outbox::default());
+    let filled = Condvar::new();
     let mut lines: Vec<String> = Vec::new();
     let mut records = 0usize;
     let mut quarantined = 0usize;
     let mut complete = true;
     let mut link_error: Option<ProtoError> = None;
     std::thread::scope(|scope| {
-        let runner = scope.spawn(move || {
-            let results: Vec<Option<Result<JobRecord, JobFailure>>> = jobs
+        let runner = scope.spawn(|| {
+            let settled: Vec<Option<bool>> = jobs
                 .par_iter()
                 .map(|job| {
-                    if stop.load(Ordering::Relaxed) || shutdown_requested() {
+                    if opts.stop.load(Ordering::Relaxed) || shutdown_requested() {
                         return None;
                     }
-                    Some(run_job_guarded(job, attempts, budget))
+                    let settled = run_job_guarded(job, opts.job_attempts, opts.job_wall_budget);
+                    let encoded = match &settled {
+                        Ok(record) => encode_line(record),
+                        Err(failure) => encode_failure_line(failure),
+                    };
+                    if let Ok(bytes) = encoded {
+                        let mut text = String::from_utf8(bytes).expect("store lines are UTF-8");
+                        if text.ends_with('\n') {
+                            text.pop();
+                        }
+                        let mut out = outbox.lock().expect("outbox holders never panic");
+                        out.bytes += text.len();
+                        out.batch.push(text);
+                        if out.bytes >= GATHER_BYTES {
+                            filled.notify_one();
+                        }
+                    }
+                    Some(settled.is_ok())
                 })
                 .collect();
-            for settled in results.iter().flatten() {
-                let encoded = match settled {
-                    Ok(record) => encode_line(record),
-                    Err(failure) => encode_failure_line(failure),
-                };
-                if let Ok(bytes) = encoded {
-                    let mut text = String::from_utf8(bytes).expect("store lines are UTF-8");
-                    if text.ends_with('\n') {
-                        text.pop();
-                    }
-                    // A send failure means the streamer bailed on a dead
-                    // link; the results still count for the return value.
-                    let _ = line_tx.send(text);
-                }
-            }
-            drop(line_tx);
-            results
+            outbox.lock().expect("outbox holders never panic").finished = true;
+            filled.notify_one();
+            settled
         });
-        // This thread owns the link: coalesce lines into Records frames
-        // and keep the lease alive while the fan-out runs.
-        let mut batch: Vec<String> = Vec::new();
-        let mut batch_bytes = 0usize;
+        let mut next_beat = Instant::now() + heartbeat;
         loop {
-            match line_rx.recv_timeout(heartbeat) {
-                Ok(line) => {
-                    batch_bytes += line.len();
-                    lines.push(line.clone());
-                    batch.push(line);
-                    if batch_bytes >= GATHER_BYTES {
-                        if let Err(e) = flush_batch(link, grid, shard, &mut batch) {
-                            link_error = Some(e);
-                            opts.stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        batch_bytes = 0;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let beat = Message::Heartbeat { grid, shard };
-                    if let Err(e) = link.send(&beat.encode()) {
-                        link_error = Some(e);
-                        opts.stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    if let Err(e) = flush_batch(link, grid, shard, &mut batch) {
-                        link_error = Some(e);
-                    }
-                    break;
-                }
+            let (mut batch, finished) = {
+                let out = outbox.lock().expect("outbox holders never panic");
+                let wait = next_beat.saturating_duration_since(Instant::now());
+                let (mut out, _) = filled
+                    .wait_timeout_while(out, wait, |o| o.bytes < GATHER_BYTES && !o.finished)
+                    .expect("outbox holders never panic");
+                out.bytes = 0;
+                (std::mem::take(&mut out.batch), out.finished)
+            };
+            lines.extend(batch.iter().cloned());
+            let sent = match (batch.is_empty(), finished) {
+                (true, true) => break,
+                (true, false) => link.send(&Message::Heartbeat { grid, shard }.encode()),
+                (false, _) => flush_batch(link, grid, shard, &mut batch),
+            };
+            if let Err(e) = sent {
+                link_error = Some(e);
+                opts.stop.store(true, Ordering::Relaxed);
+                break;
             }
+            if finished {
+                break;
+            }
+            next_beat = Instant::now() + heartbeat;
         }
         let results = runner.join().expect("shard runner thread never panics");
-        for settled in &results {
+        for settled in results {
             match settled {
-                Some(Ok(_)) => records += 1,
-                Some(Err(_)) => quarantined += 1,
+                Some(true) => records += 1,
+                Some(false) => quarantined += 1,
                 None => complete = false,
             }
         }

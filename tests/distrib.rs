@@ -16,7 +16,7 @@ use std::time::{Duration as StdDuration, Instant};
 use caem_suite::caem::policy::PolicyKind;
 use caem_suite::simcore::time::Duration;
 use caem_suite::wsnsim::distrib::{
-    collect_grid_records, merge_grid_report, run_sequential_distributed, run_worker, DistribError,
+    collect_grid_outcome, merge_grid_report, run_sequential_distributed, run_worker, DistribError,
     DistribOptions, GridManifest, ShardLayout, ThreadSpawner, WorkerConfig, DEFAULT_LEASE_TTL,
 };
 use caem_suite::wsnsim::experiment::{
@@ -229,8 +229,8 @@ fn merge_is_invariant_under_shuffled_store_discovery_order() {
     for permute in orders {
         let mut shuffled = stores.clone();
         permute(&mut shuffled);
-        let records = collect_grid_records(&manifest, &shuffled).expect("collect");
-        let mut report = ExperimentReport::from_records(records);
+        let outcome = collect_grid_outcome(&manifest, &shuffled).expect("collect");
+        let mut report = ExperimentReport::from_records(outcome.records);
         report.seeds = spec.seeds.clone();
         reports.push(report);
     }

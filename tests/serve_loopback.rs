@@ -14,15 +14,15 @@
 //! the tests serialize themselves on one mutex (the same reason
 //! `tests/chaos.rs` is phase-structured).
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use caem_suite::wsnsim::distrib::{WorkerSpawner, WorkerTarget};
 use caem_suite::wsnsim::faults::{self, FaultKind, FaultPlanConfig, FaultRole, RunEvent};
 use caem_suite::wsnsim::serve::{
     loopback_pair, run_socket_worker, serve_connection, FrameLink, LoopbackLink, LoopbackSpawner,
-    Message, ServiceClient, ServiceConfig, ServiceState, SocketWorkerOptions, WorkerExit,
-    PROTOCOL_VERSION,
+    Message, ProtoError, ServiceClient, ServiceConfig, ServiceState, SocketWorkerOptions,
+    WorkerExit, PROTOCOL_VERSION,
 };
 use caem_suite::wsnsim::spec::GridSpec;
 
@@ -59,7 +59,12 @@ fn exclusive() -> MutexGuard<'static, ()> {
 /// The canonical single-process report of [`SPEC_DOC`], rendered exactly
 /// as the daemon renders a fetched report.
 fn expected_bytes() -> String {
-    let resolved = GridSpec::parse(SPEC_DOC)
+    expected_bytes_of(SPEC_DOC)
+}
+
+/// The canonical single-process report of a grid-spec document.
+fn expected_bytes_of(doc: &str) -> String {
+    let resolved = GridSpec::parse(doc)
         .expect("spec parses")
         .resolve(SEED, true)
         .expect("spec resolves");
@@ -79,10 +84,7 @@ fn run_fleet(state: &std::sync::Arc<Mutex<ServiceState>>, workers: usize) -> Str
     assert_eq!(sub.name, "serve_loopback");
     assert_eq!(sub.jobs, 12);
 
-    let target = WorkerTarget::Endpoint("loopback".into());
-    let handles: Vec<_> = (0..workers)
-        .map(|i| spawner.spawn(&target, i, 1).expect("spawn worker"))
-        .collect();
+    let handles: Vec<_> = (0..workers).map(|i| spawner.spawn_worker(i)).collect();
 
     let report = client
         .fetch_report(Duration::from_secs(300))
@@ -209,10 +211,7 @@ fn run_fleet_into(
     client: &mut ServiceClient<'_>,
     workers: usize,
 ) -> String {
-    let target = WorkerTarget::Endpoint("loopback".into());
-    let handles: Vec<_> = (0..workers)
-        .map(|i| spawner.spawn(&target, i, 1).expect("spawn worker"))
-        .collect();
+    let handles: Vec<_> = (0..workers).map(|i| spawner.spawn_worker(i)).collect();
     let report = client
         .fetch_report(Duration::from_secs(300))
         .expect("grid completes");
@@ -357,5 +356,85 @@ fn released_shards_are_reclaimable_immediately_without_ttl_wait() {
     assert!(
         start.elapsed() < Duration::from_secs(60),
         "re-claim happened immediately"
+    );
+}
+
+/// One scenario × three policies × twelve seeds: more jobs than any
+/// test host runs at once, so a worker stopped after its first record
+/// frame leaves most of its shard unrun.
+const STREAM_DOC: &str = r#"{
+  "caem_grid_spec": 1,
+  "name": "serve_streaming",
+  "replicates": 12,
+  "duration_s": 100.0,
+  "node_count": 12,
+  "scenarios": [ { "label": "uniform_8pps", "rate_pps": 8.0 } ]
+}"#;
+
+/// A worker's link that raises the worker's stop flag as it sends its
+/// first `records` frame.
+struct StopOnFirstRecords {
+    inner: LoopbackLink,
+    stop: Arc<AtomicBool>,
+}
+
+impl FrameLink for StopOnFirstRecords {
+    fn send(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
+        if let Ok(Message::Records { .. }) = Message::decode(payload) {
+            self.stop.store(true, Ordering::Relaxed);
+        }
+        self.inner.send(payload)
+    }
+
+    fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, ProtoError> {
+        self.inner.recv(timeout)
+    }
+}
+
+#[test]
+fn socket_workers_stream_records_while_their_shard_runs() {
+    let _guard = exclusive();
+    let state = ServiceState::shared(ServiceConfig {
+        shards_per_grid: 1,
+        heartbeat: Some(Duration::from_millis(1)),
+        ..ServiceConfig::default()
+    });
+    let spawner = LoopbackSpawner::new(state.clone());
+    let mut clink = spawner.connect();
+    let mut client = ServiceClient::new(&mut clink);
+    let jobs = client
+        .submit(STREAM_DOC, true, SEED)
+        .expect("accepted")
+        .jobs;
+
+    // The first worker is stopped as its first record frame leaves: every
+    // job it had not started is skipped and the shard is released.
+    let opts = SocketWorkerOptions::new("stopped".to_string());
+    let (link, mut served) = loopback_pair();
+    let mut link = StopOnFirstRecords {
+        inner: link,
+        stop: opts.stop.clone(),
+    };
+    let server_state = state.clone();
+    std::thread::spawn(move || serve_connection(&mut served, &server_state));
+    match run_socket_worker(&mut link, &opts) {
+        Ok(WorkerExit::Finished(outcome)) => assert_eq!(outcome.shards_completed, 0),
+        other => panic!("expected a finished worker, got {other:?}"),
+    }
+    let settled = client
+        .status()
+        .expect("status")
+        .active
+        .expect("grid still active")
+        .settled;
+    assert!(
+        settled > 0 && settled < jobs,
+        "the daemon holds the lines streamed before the stop ({settled} of {jobs} settled)"
+    );
+
+    // A second worker runs only what is left and the report is unchanged.
+    assert_eq!(
+        run_fleet_into(&spawner, &mut client, 1),
+        expected_bytes_of(STREAM_DOC)
     );
 }
